@@ -13,6 +13,7 @@ type state struct {
 	cyl  int     // cylinder currently under the tips
 	yB   float64 // Y bit-boundary coordinate in [0, BitsY]
 	vdir int     // Y velocity direction: −1, 0, +1 (times AccessSpeed)
+	ys   int     // Geometry.yStateOf(yB, vdir): Y seek table row, or −1
 }
 
 // Device is the MEMS-based storage device model. It implements
@@ -21,6 +22,7 @@ type state struct {
 type Device struct {
 	geo  *Geometry
 	sled *physics.Sled
+	ytab *yTable // shared Y seek table, looked up at the first on-grid seek
 	st   state
 
 	last    core.Breakdown
@@ -68,7 +70,7 @@ func (d *Device) SectorSize() int { return d.geo.SectorSize }
 
 // Reset implements core.Device: the sled parks at the center, at rest.
 func (d *Device) Reset() {
-	d.st = state{cyl: d.geo.Cylinders / 2, yB: float64(d.geo.BitsY) / 2, vdir: 0}
+	d.st = state{cyl: d.geo.Cylinders / 2, yB: float64(d.geo.BitsY) / 2, vdir: 0, ys: -1}
 	d.last, d.hasLast = core.Breakdown{}, false
 }
 
@@ -120,6 +122,9 @@ func (d *Device) EstimateBreakdown(req *core.Request, _ float64) core.Breakdown 
 // turnaround into the spring-limited trajectory). ServiceMs accumulates
 // in the historical operation order, so totals are bit-identical to the
 // pre-decomposition model.
+//
+// Y seeks from a state on the table's grid (every state an access leaves)
+// are looked up in the shared yTable, the rest are solved.
 func (d *Device) access(st state, req *core.Request) (core.Breakdown, state) {
 	g := d.geo
 	if req.Blocks <= 0 {
@@ -152,17 +157,21 @@ func (d *Device) access(st state, req *core.Request) (core.Breakdown, state) {
 			xs = d.sled.SeekTime(g.XPos(st.cyl), 0, g.XPos(cyl), 0) * 1e3
 			tx = xs + g.SettleMs
 		}
-		vy := float64(st.vdir) * g.AccessSpeed
 		// Forward sweep: start at the top boundary of the first row
 		// moving +Y; reverse sweep: start at the bottom boundary of the
 		// last row moving −Y.
-		fwdStart := float64(row) * tb
-		revStart := float64(rowHi+1) * tb
-		tyF := d.sled.SeekTime(g.YPos(st.yB), vy, g.YPos(fwdStart), g.AccessSpeed) * 1e3
-		tyR := d.sled.SeekTime(g.YPos(st.yB), vy, g.YPos(revStart), -g.AccessSpeed) * 1e3
-		ty, dir, end := tyF, 1, float64(rowHi+1)*tb
+		var tyF, tyR float64
+		if st.ys >= 0 {
+			t := d.yTable()
+			tyF, tyR = t.seek(st.ys, row, 1), t.seek(st.ys, rowHi+1, -1)
+		} else {
+			vy := float64(st.vdir) * g.AccessSpeed
+			tyF = d.sled.SeekTime(g.YPos(st.yB), vy, g.YPos(float64(row)*tb), g.AccessSpeed) * 1e3
+			tyR = d.sled.SeekTime(g.YPos(st.yB), vy, g.YPos(float64(rowHi+1)*tb), -g.AccessSpeed) * 1e3
+		}
+		ty, dir, end := tyF, 1, rowHi+1
 		if tyR < tyF {
-			ty, dir, end = tyR, -1, float64(row)*tb
+			ty, dir, end = tyR, -1, row
 		}
 		pos := tx
 		if ty > pos {
@@ -184,7 +193,7 @@ func (d *Device) access(st state, req *core.Request) (core.Breakdown, state) {
 		bd.Transfer += float64(rowHi-row+1) * g.RowTimeMs
 		bd.Segments++
 
-		st = state{cyl: cyl, yB: end, vdir: dir}
+		st = state{cyl: cyl, yB: float64(end) * tb, vdir: dir, ys: yState(end, dir)}
 		lbn += int64(n)
 		remaining -= n
 	}
@@ -204,7 +213,7 @@ func (d *Device) ErrorPenalty(_ *core.Request, _ float64, u float64) float64 {
 	if u >= 0.5 {
 		turnarounds = 2
 	}
-	ta := d.Turnaround(d.st.yB, d.st.vdir)
+	ta := d.turnaround(d.st)
 	to := d.st.cyl + 1
 	if to >= d.geo.Cylinders {
 		to = d.st.cyl - 1
@@ -230,7 +239,25 @@ func (d *Device) SeekX(from, to int) float64 {
 // Turnaround returns the time in ms to reverse the sled's Y direction at
 // bit boundary b, moving in direction dir before the reversal.
 func (d *Device) Turnaround(b float64, dir int) float64 {
-	return d.sled.TurnaroundTime(d.geo.YPos(b), float64(dir)*d.geo.AccessSpeed) * 1e3
+	return d.turnaround(state{yB: b, vdir: dir, ys: d.geo.yStateOf(b, dir)})
+}
+
+// turnaround prices reversing the Y direction of state st: a table
+// lookup on the grid, the solver elsewhere.
+func (d *Device) turnaround(st state) float64 {
+	if st.ys >= 0 {
+		return d.yTable().seek(st.ys, st.ys/2, -st.vdir)
+	}
+	return d.sled.TurnaroundTime(d.geo.YPos(st.yB), float64(st.vdir)*d.geo.AccessSpeed) * 1e3
+}
+
+// yTable returns the device's shared Y seek table, looking it up on
+// first use so that building a device costs no more than its geometry.
+func (d *Device) yTable() *yTable {
+	if d.ytab == nil {
+		d.ytab = sharedYTable(d.geo, d.sled)
+	}
+	return d.ytab
 }
 
 // State returns the current cylinder, Y boundary, and direction; tests
@@ -245,5 +272,5 @@ func (d *Device) SetState(cyl int, yB float64, vdir int) {
 	if cyl < 0 || cyl >= d.geo.Cylinders || yB < 0 || yB > float64(d.geo.BitsY) {
 		panic(fmt.Sprintf("mems: SetState out of range: cyl=%d yB=%g", cyl, yB))
 	}
-	d.st = state{cyl: cyl, yB: yB, vdir: vdir}
+	d.st = state{cyl: cyl, yB: yB, vdir: vdir, ys: d.geo.yStateOf(yB, vdir)}
 }

@@ -79,9 +79,9 @@ func angleCW(from, to float64) float64 {
 // SeekPlan computes the time-optimal two-phase bang-bang plan moving the
 // sled from state (x0, v0) to state (x1, v1). The boolean result reports
 // whether a two-phase plan exists; for the parameter ranges of MEMS-based
-// storage devices (HalfRange·SpringFactor < equilibrium offset) it always
-// does, but callers must handle false (SeekTime falls back to a composed
-// maneuver through an intermediate rest state).
+// storage devices (HalfRange·SpringFactor < equilibrium offset) it does
+// for every state inside the travel at the speeds seeks reach, but callers
+// must handle false (SeekTime then composes the maneuver through rest).
 func (s *Sled) SeekPlan(x0, v0, x1, v1 float64) (Plan, bool) {
 	if x0 == x1 && v0 == v1 {
 		return Plan{U1: 1, U2: -1}, true
@@ -181,20 +181,72 @@ func (s *Sled) seekPlanSpring(x0, v0, x1, v1 float64) (Plan, bool) {
 	return best, found
 }
 
-// SeekTime returns the minimum time, in seconds, to move the sled from
-// state (x0, v0) to state (x1, v1). If no direct two-phase plan exists the
-// maneuver is composed of two rest-to-rest seeks through the midpoint;
-// this fallback is unreachable for the paper's device parameters but keeps
-// the model total for arbitrary configurations.
+// SeekTime returns the time, in seconds, to move the sled from state
+// (x0, v0) to state (x1, v1): the minimum over two-phase plans.
+//
+// States inside the travel, at the speeds seeks reach, always have a
+// two-phase plan. A state with more speed than one control arc can
+// absorb (several times the peak speed of a full-stroke seek, which the
+// device models never produce) has none. Its maneuver is composed of
+// closed-form legs through rest instead: brake (x0, v0) to rest, seek
+// rest to rest to the point from which braking in reverse ends in
+// (x1, v1), and take that reverse leg. That time bounds the optimum from
+// above. No leg recurses, so SeekTime always returns, and for finite
+// inputs short of float64 overflow the result is finite and
+// non-negative.
 func (s *Sled) SeekTime(x0, v0, x1, v1 float64) float64 {
 	if p, ok := s.SeekPlan(x0, v0, x1, v1); ok {
 		return p.Total()
 	}
-	// Compose: stop, seek to midpoint at rest, then proceed. Each leg is
-	// a strictly easier problem (rest endpoints shrink the circles).
-	mid := (x0 + x1) / 2
-	t := s.SeekTime(x0, v0, mid, 0)
-	return t + s.SeekTime(mid, 0, x1, v1)
+	p, t0 := s.brake(x0, v0)
+	// The dynamics are time-reversible under the same control set, so
+	// reaching (x1, v1) from rest at q takes as long as braking (x1, −v1)
+	// to rest at q.
+	q, t1 := s.brake(x1, -v1)
+	// brake leaves p and q within ±a/ω² of centre, where a rest-to-rest
+	// plan always exists; only non-finite input gets here without one.
+	mid, ok := s.SeekPlan(p, 0, q, 0)
+	if !ok {
+		return math.NaN()
+	}
+	return t0 + mid.Total() + t1
+}
+
+// brake returns where and after how long the sled comes to rest from
+// (x, v) with the actuators opposing its motion. A spring sled resting
+// beyond the equilibrium offset c = a/ω² cannot be held there; it then
+// swings on in half periods, each opposed by the actuators, which land
+// it 2c closer to centre on the other side, until it rests within ±c.
+func (s *Sled) brake(x, v float64) (rest, t float64) {
+	w := s.Omega()
+	if w == 0 {
+		return x + v*math.Abs(v)/(2*s.Accel), math.Abs(v) / s.Accel
+	}
+	c := s.Accel / (w * w)
+	rest = x
+	if v != 0 {
+		// The state circles clockwise about cu in (x, v/ω) and first
+		// reaches v = 0 on the x axis: at angle 0 from above, at −π
+		// from below.
+		cu := math.Copysign(c, -v)
+		th := math.Atan2(v/w, x-cu)
+		r := math.Hypot(x-cu, v/w)
+		if v > 0 {
+			rest, t = cu+r, th/w
+		} else {
+			rest, t = cu-r, (th+math.Pi)/w
+		}
+	}
+	if a := math.Abs(rest); a > c {
+		k := math.Ceil((a - c) / (2 * c))
+		m := a - 2*k*c
+		if (rest < 0) != (math.Mod(k, 2) == 1) {
+			m = -m
+		}
+		rest = math.Max(-c, math.Min(c, m))
+		t += k * math.Pi / w
+	}
+	return rest, t
 }
 
 // TurnaroundTime returns the time, in seconds, to reverse the sled's

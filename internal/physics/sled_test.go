@@ -222,16 +222,58 @@ func TestEvolveMatchesIntegrate(t *testing.T) {
 }
 
 func TestSeekFallbackComposition(t *testing.T) {
-	// Even when forced through the composed fallback path (which needs no
-	// direct two-phase plan), SeekTime must terminate and be positive.
-	// With the paper parameters every random case has a direct plan, so
-	// exercise the fallback arithmetic directly via the midpoint identity.
+	// A direct seek is never slower than stopping at the midpoint on the
+	// way. TestSeekTimeComposedBeyondTravel covers the composed path
+	// SeekTime takes when no direct plan exists.
 	s := paperSled()
 	x0, x1 := -40e-6, 40e-6
 	direct := s.SeekTime(x0, 0, x1, 0)
 	viaMid := s.SeekTime(x0, 0, 0, 0) + s.SeekTime(0, 0, x1, 0)
 	if direct > viaMid+1e-12 {
 		t.Errorf("direct seek (%g) should not exceed stop-at-midpoint (%g)", direct, viaMid)
+	}
+}
+
+func TestSeekTimeComposedBeyondTravel(t *testing.T) {
+	// States far faster than any seek have no two-phase plan; SeekTime
+	// must still return a finite time, composed through rest.
+	for _, st := range [][4]float64{
+		{0, 10, 0, 0},
+		{10e-6, -3, -20e-6, 4},
+		{30e-6, 0, 0, -10},
+	} {
+		s := paperSled()
+		if _, ok := s.SeekPlan(st[0], st[1], st[2], st[3]); ok {
+			t.Fatalf("%v: expected no direct plan", st)
+		}
+		got := s.SeekTime(st[0], st[1], st[2], st[3])
+		if math.IsNaN(got) || math.IsInf(got, 0) || got <= 0 {
+			t.Errorf("%v: SeekTime = %g, want finite and positive", st, got)
+		}
+	}
+}
+
+func TestBrakeMatchesOpposingControl(t *testing.T) {
+	// brake's closed form must agree with integrating the policy it
+	// describes: actuators always opposing the motion, for the time it
+	// reports, ends at rest at the position it reports.
+	for _, s := range []*Sled{paperSled(), noSpringSled()} {
+		for _, st := range [][2]float64{{0, 1}, {10e-6, -3}, {-30e-6, 0.5}, {180e-6, 0}, {-5e-6, 0.05}} {
+			rest, dur := s.brake(st[0], st[1])
+			x, v := st[0], st[1]
+			const dt = 1e-8
+			for left := dur; left > 0; left -= dt {
+				u := 1
+				if v > 0 || (v == 0 && x < 0) {
+					u = -1
+				}
+				x, v = s.integratePhase(x, v, u, math.Min(dt, left), dt)
+			}
+			if math.Abs(x-rest) > 1e-9 || math.Abs(v) > 1e-4 {
+				t.Errorf("%+v from %v: brake says rest at %g after %g s, integration ends at (%g, %g)",
+					*s, st, rest, dur, x, v)
+			}
+		}
 	}
 }
 

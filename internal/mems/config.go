@@ -145,15 +145,17 @@ func NewGeometry(cfg Config) (*Geometry, error) {
 		return nil, fmt.Errorf("mems: spare tips (%d) must be a multiple of active tips (%d)", cfg.SpareTips, cfg.ActiveTips)
 	case (cfg.Tips-cfg.SpareTips)%cfg.ActiveTips != 0:
 		return nil, fmt.Errorf("mems: usable tips (%d) must be a multiple of active tips (%d)", cfg.Tips-cfg.SpareTips, cfg.ActiveTips)
-	case cfg.DataBytes <= 0 || cfg.SectorSize%cfg.DataBytes != 0:
-		return nil, fmt.Errorf("mems: sector size (%d) must be a multiple of tip-sector data bytes (%d)", cfg.SectorSize, cfg.DataBytes)
-	case cfg.BitWidth <= 0 || cfg.BitsX <= 0 || cfg.BitsY <= 0:
+	case cfg.DataBytes <= 0 || cfg.SectorSize <= 0 || cfg.SectorSize%cfg.DataBytes != 0:
+		return nil, fmt.Errorf("mems: sector size (%d) must be a positive multiple of tip-sector data bytes (%d)", cfg.SectorSize, cfg.DataBytes)
+	case cfg.ServoBits < 0 || cfg.EncodedBits <= 0:
+		return nil, fmt.Errorf("mems: tip sector needs servo bits ≥ 0 (%d) and encoded bits > 0 (%d)", cfg.ServoBits, cfg.EncodedBits)
+	case !(cfg.BitWidth > 0) || cfg.BitsX <= 0 || cfg.BitsY <= 0:
 		return nil, fmt.Errorf("mems: bit geometry must be positive")
-	case cfg.PerTipRate <= 0 || cfg.SledAccel <= 0:
+	case !(cfg.PerTipRate > 0) || !(cfg.SledAccel > 0):
 		return nil, fmt.Errorf("mems: rates and accelerations must be positive")
-	case cfg.SpringFactor < 0 || cfg.SpringFactor >= 1:
+	case !(cfg.SpringFactor >= 0 && cfg.SpringFactor < 1):
 		return nil, fmt.Errorf("mems: spring factor %g must be in [0, 1)", cfg.SpringFactor)
-	case cfg.SettleConstants < 0 || cfg.ResonantHz <= 0:
+	case !(cfg.SettleConstants >= 0) || !(cfg.ResonantHz > 0):
 		return nil, fmt.Errorf("mems: settling parameters out of range")
 	}
 	g := &Geometry{Config: cfg}
@@ -164,13 +166,21 @@ func NewGeometry(cfg Config) (*Geometry, error) {
 	}
 	g.SectorsPerRow = cfg.ActiveTips / g.StripeTips
 	g.RowsPerTrack = cfg.BitsY / g.TipSectorBits
-	if g.RowsPerTrack == 0 {
+	if g.RowsPerTrack <= 0 { // a tip sector of more than MaxInt bits wraps negative
 		return nil, fmt.Errorf("mems: tip track (%d bits) shorter than one tip sector (%d bits)", cfg.BitsY, g.TipSectorBits)
 	}
-	g.SectorsPerTrack = g.SectorsPerRow * g.RowsPerTrack
 	g.TracksPerCylinder = (cfg.Tips - cfg.SpareTips) / cfg.ActiveTips
+	// Decompose divides in 32 bits below the cylinder level.
+	if int64(g.RowsPerTrack) > math.MaxUint32/int64(g.SectorsPerRow) ||
+		int64(g.TracksPerCylinder) > math.MaxUint32/(int64(g.SectorsPerRow)*int64(g.RowsPerTrack)) {
+		return nil, fmt.Errorf("mems: more than %d sectors per cylinder", uint32(math.MaxUint32))
+	}
+	g.SectorsPerTrack = g.SectorsPerRow * g.RowsPerTrack
 	g.Cylinders = cfg.BitsX
 	g.SectorsPerCylinder = g.SectorsPerTrack * g.TracksPerCylinder
+	if int64(g.Cylinders) > math.MaxInt64/int64(g.SectorsPerCylinder) {
+		return nil, fmt.Errorf("mems: capacity of %d cylinders × %d sectors overflows int64", g.Cylinders, g.SectorsPerCylinder)
+	}
 	g.TotalSectors = int64(g.Cylinders) * int64(g.SectorsPerCylinder)
 	g.RowTimeMs = float64(g.TipSectorBits) / cfg.PerTipRate * 1e3
 	g.AccessSpeed = cfg.PerTipRate * cfg.BitWidth
@@ -249,11 +259,14 @@ func (g *Geometry) Decompose(lbn int64) (cyl, track, row, slot int) {
 	if lbn < 0 || lbn >= g.TotalSectors {
 		panic(fmt.Sprintf("mems: LBN %d outside device (capacity %d)", lbn, g.TotalSectors))
 	}
-	cyl = int(lbn / int64(g.SectorsPerCylinder))
-	rem := int(lbn % int64(g.SectorsPerCylinder))
-	track = rem / g.SectorsPerTrack
-	rem %= g.SectorsPerTrack
-	row = rem / g.SectorsPerRow
-	slot = rem % g.SectorsPerRow
-	return cyl, track, row, slot
+	// One division per level, the remainder by multiply-subtract. Below
+	// the cylinder everything fits in 32 bits (NewGeometry bounds
+	// SectorsPerCylinder), and 32-bit division is the cheaper one.
+	c := lbn / int64(g.SectorsPerCylinder)
+	rem := uint32(lbn - c*int64(g.SectorsPerCylinder))
+	spt, spr := uint32(g.SectorsPerTrack), uint32(g.SectorsPerRow)
+	t := rem / spt
+	rem -= t * spt
+	r := rem / spr
+	return int(c), int(t), int(r), int(rem - r*spr)
 }

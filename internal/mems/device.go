@@ -78,15 +78,15 @@ func (d *Device) Reset() {
 // disk, the device has no free-running rotation, so service time does not
 // depend on absolute time (§2.4.8).
 func (d *Device) Access(req *core.Request, _ float64) float64 {
-	bd, ns := d.access(d.st, req)
-	d.st = ns
-	d.last, d.hasLast = bd, true
-	return bd.ServiceMs
+	d.st = d.access(d.st, req, &d.last)
+	d.hasLast = true
+	return d.last.ServiceMs
 }
 
 // EstimateAccess implements core.Device.
 func (d *Device) EstimateAccess(req *core.Request, _ float64) float64 {
-	bd, _ := d.access(d.st, req)
+	var bd core.Breakdown
+	d.access(d.st, req, &bd)
 	return bd.ServiceMs
 }
 
@@ -96,19 +96,21 @@ func (d *Device) LastBreakdown() (core.Breakdown, bool) { return d.last, d.hasLa
 
 // Detail returns the mechanical breakdown Access would produce for req
 // from the current state, without changing state.
-func (d *Device) Detail(req *core.Request) core.Breakdown {
-	bd, _ := d.access(d.st, req)
+func (d *Device) Detail(req *core.Request) (bd core.Breakdown) {
+	d.access(d.st, req, &bd)
 	return bd
 }
 
 // EstimateBreakdown implements core.BreakdownEstimator. Like Access, it
 // ignores absolute time: the sled has no free-running rotation.
-func (d *Device) EstimateBreakdown(req *core.Request, _ float64) core.Breakdown {
-	bd, _ := d.access(d.st, req)
+func (d *Device) EstimateBreakdown(req *core.Request, _ float64) (bd core.Breakdown) {
+	d.access(d.st, req, &bd)
 	return bd
 }
 
-// access computes the service of req from state st. Requests are split
+// access computes the service of req from state st into *bd and returns
+// the state it leaves. Filling the caller's breakdown in place keeps the
+// estimate path free of struct copies. Requests are split
 // into track spans ("segments"); each segment is swept in whichever Y
 // direction positions faster — tips access the media in the ±Y direction
 // (§2.2, Fig. 3), which is also what lets read-modify-write sequences pay
@@ -123,9 +125,11 @@ func (d *Device) EstimateBreakdown(req *core.Request, _ float64) core.Breakdown 
 // in the historical operation order, so totals are bit-identical to the
 // pre-decomposition model.
 //
-// Y seeks from a state on the table's grid (every state an access leaves)
-// are looked up in the shared yTable, the rest are solved.
-func (d *Device) access(st state, req *core.Request) (core.Breakdown, state) {
+// X seeks are rest to rest and go through the exact kernel
+// physics.Sled.RestSeekTime. Y seeks from a state on the table's grid
+// (every state an access leaves) are looked up in the shared yTable, the
+// rest are solved.
+func (d *Device) access(st state, req *core.Request, bd *core.Breakdown) state {
 	g := d.geo
 	if req.Blocks <= 0 {
 		panic(fmt.Sprintf("mems: request with %d blocks", req.Blocks))
@@ -134,27 +138,26 @@ func (d *Device) access(st state, req *core.Request) (core.Breakdown, state) {
 		panic(fmt.Sprintf("mems: request [%d,%d) outside device capacity %d",
 			req.LBN, req.LBN+int64(req.Blocks), g.TotalSectors))
 	}
-	bd := core.Breakdown{Overhead: g.Overhead}
+	*bd = core.Breakdown{Overhead: g.Overhead}
 	positioning := 0.0
 	lbn := req.LBN
 	remaining := req.Blocks
 	for remaining > 0 {
-		cyl, track, row, slot := g.Decompose(lbn)
+		// The track only selects the active tips, not the sled position.
+		cyl, _, row, slot := g.Decompose(lbn)
 		// Sectors left in this track from (row, slot).
 		inTrack := g.SectorsPerTrack - (row*g.SectorsPerRow + slot)
 		n := remaining
 		if n > inTrack {
 			n = inTrack
 		}
-		last := row*g.SectorsPerRow + slot + n - 1
-		rowHi := last / g.SectorsPerRow
-		_ = track // track selection changes active tips, not sled position
+		rowHi := int(uint32(row*g.SectorsPerRow+slot+n-1) / uint32(g.SectorsPerRow))
 
 		tb := float64(g.TipSectorBits)
 		// X positioning (with settle) happens once per cylinder change.
 		tx, xs := 0.0, 0.0
 		if cyl != st.cyl {
-			xs = d.sled.SeekTime(g.XPos(st.cyl), 0, g.XPos(cyl), 0) * 1e3
+			xs = d.sled.RestSeekTime(g.XPos(st.cyl), g.XPos(cyl)) * 1e3
 			tx = xs + g.SettleMs
 		}
 		// Forward sweep: start at the top boundary of the first row
@@ -193,12 +196,12 @@ func (d *Device) access(st state, req *core.Request) (core.Breakdown, state) {
 		bd.Transfer += float64(rowHi-row+1) * g.RowTimeMs
 		bd.Segments++
 
-		st = state{cyl: cyl, yB: float64(end) * tb, vdir: dir, ys: yState(end, dir)}
+		st = state{cyl: cyl, yB: float64(end) * tb, vdir: dir, ys: g.yStateAt(end, dir)}
 		lbn += int64(n)
 		remaining -= n
 	}
 	bd.ServiceMs = positioning + bd.Transfer + bd.Overhead
-	return bd, st
+	return st
 }
 
 // ErrorPenalty implements core.RecoveryModel with the §6.1.3 MEMS
@@ -207,7 +210,8 @@ func (d *Device) access(st state, req *core.Request) (core.Breakdown, state) {
 // repositioning seek — and nothing more, because the sled's motion is
 // fully controlled: there is no free-running rotation to re-miss
 // (§2.4.8). The turnaround is priced at the sled's current position and
-// velocity, the short seek as a single-cylinder X move.
+// velocity, the short seek as a single-cylinder X move. A one-cylinder
+// device has no neighbouring cylinder, so it charges no X move.
 func (d *Device) ErrorPenalty(_ *core.Request, _ float64, u float64) float64 {
 	turnarounds := 1
 	if u >= 0.5 {
@@ -216,7 +220,7 @@ func (d *Device) ErrorPenalty(_ *core.Request, _ float64, u float64) float64 {
 	ta := d.turnaround(d.st)
 	to := d.st.cyl + 1
 	if to >= d.geo.Cylinders {
-		to = d.st.cyl - 1
+		to = max(d.st.cyl-1, 0)
 	}
 	pen, err := fault.MEMSSeekErrorPenalty(ta, d.SeekX(d.st.cyl, to), turnarounds)
 	if err != nil {
@@ -233,7 +237,7 @@ func (d *Device) SeekX(from, to int) float64 {
 	if from == to {
 		return 0
 	}
-	return d.sled.SeekTime(d.geo.XPos(from), 0, d.geo.XPos(to), 0)*1e3 + d.geo.SettleMs
+	return d.sled.RestSeekTime(d.geo.XPos(from), d.geo.XPos(to))*1e3 + d.geo.SettleMs
 }
 
 // Turnaround returns the time in ms to reverse the sled's Y direction at

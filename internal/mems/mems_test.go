@@ -95,6 +95,14 @@ func TestGeometryValidation(t *testing.T) {
 		func(c *Config) { c.ResonantHz = 0 },
 		func(c *Config) { c.SettleConstants = -1 },
 		func(c *Config) { c.ActiveTips = 1248 }, // not multiple of stripe width
+		func(c *Config) { c.ServoBits, c.EncodedBits = 0, 0 },
+		func(c *Config) { c.SectorSize = 0 },
+		func(c *Config) { c.ServoBits = -5 },
+		func(c *Config) { c.SpringFactor = math.NaN() },
+		// 20 sectors per row × 27 rows × 8·10⁶ tracks > 2³²−1 per cylinder.
+		func(c *Config) { c.Tips = 1280 * 8e6 },
+		// 2700 sectors per cylinder × 4·10¹⁵ cylinders overflows int64.
+		func(c *Config) { c.BitsX = 4e15 },
 	}
 	for i, mutate := range bad {
 		cfg := DefaultConfig()

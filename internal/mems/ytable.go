@@ -22,9 +22,24 @@ type yTable struct {
 	ms []float64 // [yState(b0, d0)][b1][(d1+1)/2], 4·nb² entries
 }
 
+// maxYTableRows caps a table at 4·(maxYTableRows+1)² entries (2.1 MB),
+// against 44 rows per track for the densest generation. A geometry with
+// more rows has no table: all its states are off the grid, so every Y
+// seek is solved and no config NewGeometry accepts can make the first
+// access allocate without bound.
+const maxYTableRows = 256
+
 // yState is the table's index of the start state on boundary b moving in
 // direction dir (±1); yState(b, dir)/2 recovers b.
 func yState(b, dir int) int { return 2*b + (dir+1)/2 }
+
+// yStateAt is yState for g's devices: −1 when g's rows exceed the cap.
+func (g *Geometry) yStateAt(b, dir int) int {
+	if g.RowsPerTrack > maxYTableRows {
+		return -1
+	}
+	return yState(b, dir)
+}
 
 // seek returns the time in ms from start state s to boundary b, arriving
 // in direction dir (±1) at AccessSpeed.
@@ -58,6 +73,10 @@ type yKey struct {
 	bitWidth, accessSpeed              float64
 }
 
+func yKeyOf(g *Geometry, sled *physics.Sled) yKey {
+	return yKey{*sled, g.BitsY, g.TipSectorBits, g.RowsPerTrack, g.BitWidth, g.AccessSpeed}
+}
+
 // yTables maps each yKey met in the process to its *yTable. Entries are
 // deterministic in their key and never change once stored, so sharing
 // them cannot couple one device's results to another's.
@@ -67,7 +86,7 @@ var yTables sync.Map
 // it on first use. A table is complete before it is published; goroutines
 // that race on a new key each build one and all adopt the first stored.
 func sharedYTable(g *Geometry, sled *physics.Sled) *yTable {
-	k := yKey{*sled, g.BitsY, g.TipSectorBits, g.RowsPerTrack, g.BitWidth, g.AccessSpeed}
+	k := yKeyOf(g, sled)
 	if t, ok := yTables.Load(k); ok {
 		return t.(*yTable)
 	}
@@ -86,5 +105,5 @@ func (g *Geometry) yStateOf(yB float64, vdir int) int {
 	if float64(b)*float64(g.TipSectorBits) != yB {
 		return -1
 	}
-	return yState(b, vdir)
+	return g.yStateAt(b, vdir)
 }

@@ -60,6 +60,35 @@ func TestYTableSizeBounded(t *testing.T) {
 	}
 }
 
+// TestYTableRowCap drives a geometry with more rows per track than the
+// table covers: its states stay off the grid, no table is built, and
+// every answer still matches the solver-only reference.
+func TestYTableRowCap(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.ServoBits, cfg.EncodedBits = 0, 8 // 312 rows per track
+	d := MustDevice(cfg)
+	g := d.Geometry()
+	if g.RowsPerTrack <= maxYTableRows {
+		t.Fatalf("%d rows per track, want more than %d", g.RowsPerTrack, maxYTableRows)
+	}
+	sled := g.Sled()
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < 200; i++ {
+		req := randomRequest(rng, g)
+		cyl, yB, vdir := d.State()
+		want, _, _, _ := refAccess(g, sled, cyl, yB, vdir, req)
+		if got := d.Access(req, 0); !sameBits(got, want.ServiceMs) {
+			t.Fatalf("%+v: Access %v, reference %v", *req, got, want.ServiceMs)
+		}
+		if d.st.ys != -1 {
+			t.Fatalf("Access left table row %d past the row cap", d.st.ys)
+		}
+	}
+	if _, ok := yTables.Load(yKeyOf(g, sled)); ok || d.ytab != nil {
+		t.Error("a Y seek table was built past the row cap")
+	}
+}
+
 func TestYTableKeyedOnEveryInput(t *testing.T) {
 	g := MustDevice(DefaultConfig()).Geometry()
 	sled := g.Sled()

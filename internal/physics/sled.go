@@ -67,11 +67,17 @@ func (p Plan) Total() float64 { return p.T1 + p.T2 }
 const twoPi = 2 * math.Pi
 
 // angleCW returns the clockwise angular distance from angle `from` to
-// angle `to`, in [0, 2π).
+// angle `to`, in [0, 2π), for angles in [−π, π] as math.Atan2 returns
+// them. Their difference lies in [−2π, 2π], so one reduction step gives
+// math.Mod(from−to, 2π) (then shifted into [0, 2π)) bit for bit,
+// including the signed zeros Mod returns at ±2π.
 func angleCW(from, to float64) float64 {
-	d := math.Mod(from-to, twoPi)
-	if d < 0 {
-		d += twoPi
+	d := from - to
+	switch {
+	case d == twoPi || d == -twoPi:
+		return math.Copysign(0, d)
+	case d < 0:
+		return d + twoPi
 	}
 	return d
 }
@@ -140,10 +146,7 @@ func (s *Sled) seekPlanSpring(x0, v0, x1, v1 float64) (Plan, bool) {
 		// both in (x, v/ω) coordinates where motion is clockwise at ω.
 		r1 := math.Hypot(x0-c1, v0/w)
 		r2 := math.Hypot(x1-c2, v1/w)
-		// Intersection abscissa from subtracting the circle equations.
-		denom := 2 * (c2 - c1)
-		xs := (r1*r1 - r2*r2 - c1*c1 + c2*c2) / denom
-		ws2 := r1*r1 - (xs-c1)*(xs-c1)
+		xs, ws2 := switchPoint(c1, c2, r1, r2)
 		if ws2 < 0 {
 			if ws2 > -1e-9*r1*r1 {
 				ws2 = 0 // tangent circles within floating-point noise
@@ -155,19 +158,7 @@ func (s *Sled) seekPlanSpring(x0, v0, x1, v1 float64) (Plan, bool) {
 		th0 := math.Atan2(v0/w, x0-c1)
 		tht := math.Atan2(v1/w, x1-c2)
 		for _, wsv := range []float64{wsAbs, -wsAbs} {
-			thS1 := math.Atan2(wsv, xs-c1)
-			thS2 := math.Atan2(wsv, xs-c2)
-			t1 := angleCW(th0, thS1) / w
-			t2 := angleCW(thS2, tht) / w
-			// Snap near-full-circle phases caused by floating-point
-			// noise when the start or target coincides with the switch
-			// point.
-			if twoPi-t1*w < 1e-9 {
-				t1 = 0
-			}
-			if twoPi-t2*w < 1e-9 {
-				t2 = 0
-			}
+			t1, t2 := springArcs(w, c1, c2, xs, wsv, th0, tht)
 			p := Plan{U1: u1, T1: t1, U2: u2, T2: t2}
 			if !found || p.Total() < best.Total() {
 				best = p
@@ -179,6 +170,76 @@ func (s *Sled) seekPlanSpring(x0, v0, x1, v1 float64) (Plan, bool) {
 		}
 	}
 	return best, found
+}
+
+// switchPoint intersects circle 1 (centre c1, radius r1) with circle 2
+// (centre c2, radius r2) in (x, v/ω) phase space, subtracting the circle
+// equations for the abscissa xs. ws2 is the squared ordinate there:
+// negative when the circles do not meet.
+func switchPoint(c1, c2, r1, r2 float64) (xs, ws2 float64) {
+	denom := 2 * (c2 - c1)
+	xs = (r1*r1 - r2*r2 - c1*c1 + c2*c2) / denom
+	return xs, r1*r1 - (xs-c1)*(xs-c1)
+}
+
+// springArcs returns the durations of the two control arcs of a plan
+// that leaves angle th0 on circle 1 (centre c1), switches at (xs, wsv)
+// onto circle 2 (centre c2) and follows it to angle tht.
+func springArcs(w, c1, c2, xs, wsv, th0, tht float64) (t1, t2 float64) {
+	thS1 := math.Atan2(wsv, xs-c1)
+	thS2 := math.Atan2(wsv, xs-c2)
+	t1 = angleCW(th0, thS1) / w
+	t2 = angleCW(thS2, tht) / w
+	// Snap near-full-circle phases caused by floating-point noise when
+	// the start or target coincides with the switch point.
+	if twoPi-t1*w < 1e-9 {
+		t1 = 0
+	}
+	if twoPi-t2*w < 1e-9 {
+		t2 = 0
+	}
+	return t1, t2
+}
+
+// RestSeekTime returns the time, in seconds, of the rest-to-rest seek
+// from x0 to x1. It equals SeekTime(x0, 0, x1, 0) bit for bit, at a
+// fraction of the cost; the MEMS device prices every X seek with it.
+//
+// Between rest states inside the equilibrium offsets ±a/ω², the plan
+// seekPlanSpring picks is always the one that first accelerates toward
+// the target (u1 = sign(x1−x0)) and switches where the velocity has the
+// sign of the move. The kernel evaluates only that candidate, with the
+// same float operations. Both circles are centred on the x axis and
+// pass through the rest states, so Hypot(p, 0) is |p| and the start and
+// target angles are 0 or π: only the two switch-point angles need
+// atan2, against eight full atan2 calls in the general solver.
+//
+// Outside the domain where that argument holds, it defers to SeekTime:
+// no spring, x0 or x1 at or beyond ±a/ω², a move of at most 1e-6·a/ω²
+// (where the general solver's 2π and tangent snaps can round a
+// sub-picometre seek to 0), or circles that do not cross (ws² ≤ 0).
+func (s *Sled) RestSeekTime(x0, x1 float64) float64 {
+	w := s.Omega()
+	if w == 0 {
+		return s.SeekTime(x0, 0, x1, 0)
+	}
+	c := s.Accel / (w * w)
+	if !(math.Abs(x0) < c && math.Abs(x1) < c) || math.Abs(x1-x0) <= 1e-6*c {
+		return s.SeekTime(x0, 0, x1, 0)
+	}
+	// Toward +x: accelerate about +c from angle π, brake about −c to
+	// angle 0, switching above the axis. Toward −x mirrors it.
+	c1, th0, tht, dir := c, math.Pi, 0.0, 1.0
+	if x1 < x0 {
+		c1, th0, tht, dir = -c, 0, math.Pi, -1
+	}
+	c2 := -c1
+	xs, ws2 := switchPoint(c1, c2, math.Abs(x0-c1), math.Abs(x1-c2))
+	if !(ws2 > 0) {
+		return s.SeekTime(x0, 0, x1, 0)
+	}
+	t1, t2 := springArcs(w, c1, c2, xs, dir*math.Sqrt(ws2), th0, tht)
+	return t1 + t2
 }
 
 // SeekTime returns the time, in seconds, to move the sled from state

@@ -277,6 +277,61 @@ func TestBrakeMatchesOpposingControl(t *testing.T) {
 	}
 }
 
+func TestAngleCWMatchesMod(t *testing.T) {
+	// The one-step reduction must be math.Mod's result bit for bit for
+	// every pair of atan2 outputs, signed zeros at ±2π included.
+	ref := func(from, to float64) float64 {
+		d := math.Mod(from-to, twoPi)
+		if d < 0 {
+			d += twoPi
+		}
+		return d
+	}
+	edges := []float64{-math.Pi, math.Nextafter(-math.Pi, 0), -math.Pi / 2, math.Copysign(0, -1), 0,
+		1e-300, math.Pi / 2, math.Nextafter(math.Pi, 0), math.Pi}
+	check := func(from, to float64) {
+		if got, want := angleCW(from, to), ref(from, to); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("angleCW(%v, %v) = %v, math.Mod reference %v", from, to, got, want)
+		}
+	}
+	for _, a := range edges {
+		for _, b := range edges {
+			check(a, b)
+		}
+	}
+	rng := rand.New(rand.NewSource(5))
+	for i := 0; i < 100000; i++ {
+		check(math.Atan2(rng.NormFloat64(), rng.NormFloat64()), math.Atan2(rng.NormFloat64(), rng.NormFloat64()))
+	}
+}
+
+func TestRestSeekTimeMatchesSeekTime(t *testing.T) {
+	// Inside the kernel's domain and on each fallback: no spring, a
+	// point at or beyond a/ω², and moves at or below 1e-6·a/ω².
+	paper := paperSled()
+	c := paper.Accel / (paper.Omega() * paper.Omega())
+	cases := [][2]float64{
+		{-40e-6, 40e-6}, {40e-6, -40e-6}, {-50e-6, 50e-6}, {0, 1e-9}, {12e-6, 11e-6},
+		{c, 0}, {0, -c}, {2 * c, -3 * c},
+		{10e-6, 10e-6}, {10e-6, 10e-6 + 1e-6*c}, {10e-6, 10e-6 - 2e-6*c},
+	}
+	for _, s := range []*Sled{paper, noSpringSled()} {
+		for _, x := range cases {
+			if got, want := s.RestSeekTime(x[0], x[1]), s.SeekTime(x[0], 0, x[1], 0); math.Float64bits(got) != math.Float64bits(want) {
+				t.Errorf("%+v: RestSeekTime(%g, %g) = %v, SeekTime %v", *s, x[0], x[1], got, want)
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(13))
+	for i := 0; i < 20000; i++ {
+		s := &Sled{Accel: 500 + 1500*rng.Float64(), SpringFactor: rng.Float64(), HalfRange: 20e-6 + 80e-6*rng.Float64()}
+		x0, x1 := (2*rng.Float64()-1)*s.HalfRange, (2*rng.Float64()-1)*s.HalfRange
+		if got, want := s.RestSeekTime(x0, x1), s.SeekTime(x0, 0, x1, 0); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("%+v: RestSeekTime(%g, %g) = %v, SeekTime %v", *s, x0, x1, got, want)
+		}
+	}
+}
+
 func TestPlanString(t *testing.T) {
 	p := Plan{U1: 1, T1: 0.001, U2: -1, T2: 0.002}
 	if p.String() == "" {
@@ -294,6 +349,22 @@ func BenchmarkSeekSolverClosedForm(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = s.SeekTime(xs[i%1024], 0, xs[(i+7)%1024], 0)
+	}
+}
+
+var restSeekSink float64
+
+func BenchmarkRestSeekTime(b *testing.B) {
+	// Kernel partner of BenchmarkSeekSolverClosedForm on the same moves.
+	s := paperSled()
+	rng := rand.New(rand.NewSource(1))
+	xs := make([]float64, 1024)
+	for i := range xs {
+		xs[i] = (rng.Float64()*2 - 1) * s.HalfRange
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		restSeekSink += s.RestSeekTime(xs[i%1024], xs[(i+7)%1024])
 	}
 }
 

@@ -1,10 +1,13 @@
-// equivalence_test.go is the engine refactor's golden contract: seeded
-// runs across every regime (open, closed, multi, volume), both device
-// models, FCFS and SPTF, with and without fault injection, fingerprinted
-// in full float precision (every Result field plus a hash of the JSONL
-// lifecycle trace) and compared byte-for-byte against goldens captured
-// from the pre-refactor loops. Any engine change that shifts a single
-// completion time, probe event, or counter fails here first.
+// equivalence_test.go is the engine and scheduler golden contract:
+// seeded runs across every regime (open, closed, multi, volume), both
+// device models, every scheduling policy (the paper's four, the
+// cost-model extensions SettleAware, Priority and ASPTF, and the indexed
+// SPTF_IDX and SettleAware_IDX), with and without fault injection and
+// with the bounded percentile sketch, fingerprinted in full float
+// precision (every Result field plus a hash of the JSONL lifecycle
+// trace) and compared byte-for-byte against committed goldens. Any
+// engine or scheduler change that shifts a single completion time,
+// probe event, or counter fails here first.
 //
 // Regenerate goldens (after an INTENDED behavior change only) with:
 //
@@ -117,6 +120,8 @@ type scenario struct {
 	// inj builds a fresh injector per execution (injectors are stateful);
 	// nil runs without one.
 	inj func(t *testing.T) *fault.Injector
+	// sketch runs with Options.Sketch, the bounded percentile backend.
+	sketch bool
 }
 
 func newMEMS(t *testing.T) *mems.Device {
@@ -175,7 +180,6 @@ func equivalenceScenarios(t *testing.T) []scenario {
 	t.Helper()
 	const (
 		requests = 400
-		warmup   = 40
 		seed     = 7
 	)
 	var scns []scenario
@@ -214,6 +218,26 @@ func equivalenceScenarios(t *testing.T) []scenario {
 		}
 	}
 
+	// ── Open MEMS past the knee, one run per remaining policy ───────
+	// At 2000 req/s the queue grows past 2·DefaultIndexWindow, so the
+	// indexed variants part from the full scan, and requests wait long
+	// enough for ASPTF's aging and Priority's 50 ms promotion to act.
+	for _, name := range []string{"SSTF_LBN", "C-LOOK", "SettleAware", "SPTF_IDX", "SettleAware_IDX", "Priority", "ASPTF_0.05"} {
+		name := name
+		scns = append(scns, scenario{
+			name: "open_mems_2000_" + name,
+			run: func(opts sim.Options) (sim.Result, error) {
+				d := newMEMS(t)
+				var s core.Scheduler = sched.NewASPTF(0.05)
+				if name != "ASPTF_0.05" {
+					s = newSched(t, name)
+				}
+				src := workload.DefaultRandom(2000, d.SectorSize(), d.Capacity(), requests, seed)
+				return sim.Run(nil, d, s, src, opts), nil
+			},
+		})
+	}
+
 	// ── Closed, back-to-back ────────────────────────────────────────
 	for _, dev := range []string{"mems", "disk"} {
 		dev := dev
@@ -225,8 +249,6 @@ func equivalenceScenarios(t *testing.T) []scenario {
 				d = newDisk(t)
 			}
 			// The §5.3 regime: bipartite sizes under the simple layout.
-			var pl core.Device = d
-			_ = pl
 			cfg := workload.RandomConfig{
 				Rate: 1, ReadFraction: 0.67, MeanBytes: 4096, MaxBytes: 64 * 1024,
 				SectorSize: d.SectorSize(), Capacity: d.Capacity(), Count: requests, Seed: seed,
@@ -286,10 +308,13 @@ func equivalenceScenarios(t *testing.T) []scenario {
 			func(int64) sim.Router { return sim.StripeRouter(2700, 2) }, true)},
 		scenario{name: "multi_disk_concat_FCFS", run: multi("disk", 2, "FCFS",
 			func(per int64) sim.Router { return sim.ConcatRouter(per) }, false)},
+		// The bounded percentile backend, run-level and per member.
+		scenario{name: "multi_mems_stripe_SPTF_sketch", sketch: true, run: multi("mems", 2, "SPTF",
+			func(int64) sim.Router { return sim.StripeRouter(2700, 2) }, false)},
 	)
 
 	// ── Redundant volumes (fork-join + failover + rebuild) ──────────
-	volume := func(level array.VolumeLevel, members, spares int, fail bool, policy sim.RebuildPolicy) scenario {
+	volume := func(level array.VolumeLevel, members, spares int, fail bool, policy sim.RebuildPolicy, memberSched string) scenario {
 		name := "volume_mirror"
 		if level == array.VolParity {
 			name = "volume_parity"
@@ -299,6 +324,9 @@ func equivalenceScenarios(t *testing.T) []scenario {
 		}
 		if policy != nil {
 			name += "_" + policy.Name()
+		}
+		if memberSched != "SPTF" {
+			name += "_" + memberSched
 		}
 		run := func(opts sim.Options) (sim.Result, error) {
 			cfg := array.VolumeConfig{
@@ -314,7 +342,7 @@ func equivalenceScenarios(t *testing.T) []scenario {
 			scheds := make([]core.Scheduler, n)
 			for i := range devs {
 				devs[i] = newMEMS(t)
-				scheds[i] = sched.NewSPTF()
+				scheds[i] = newSched(t, memberSched)
 			}
 			src := workload.NewRandom(workload.RandomConfig{
 				Rate: 900, ReadFraction: 0.67, MeanBytes: 4096, MaxBytes: 16 * 1024,
@@ -342,20 +370,21 @@ func equivalenceScenarios(t *testing.T) []scenario {
 		return scn
 	}
 	scns = append(scns,
-		volume(array.VolMirror, 2, 1, false, nil),
-		volume(array.VolMirror, 2, 1, true, nil),
-		volume(array.VolParity, 3, 1, true, nil),
+		volume(array.VolMirror, 2, 1, false, nil, "SPTF"),
+		volume(array.VolMirror, 2, 1, true, nil, "SPTF"),
+		volume(array.VolParity, 3, 1, true, nil, "SPTF"),
 		// Queue-aware pacing under the same failure: pins the adaptive
 		// policy's trajectory (pace changes shift chunk timing and the
 		// trace) without touching the fixed-policy goldens above.
-		volume(array.VolParity, 3, 1, true, sim.AdaptiveRebuild{}),
+		volume(array.VolParity, 3, 1, true, sim.AdaptiveRebuild{}, "SPTF"),
+		// Class-aware member queues: degraded reads, foreground and
+		// rebuild chunks in separate bands.
+		volume(array.VolParity, 3, 1, true, sim.AdaptiveRebuild{}, "Priority"),
 	)
-
-	_ = warmup
 	return scns
 }
 
-// TestEquivalence locks the engine to the pre-refactor loops: for each
+// TestEquivalence locks the engine and schedulers to the goldens: for each
 // scenario the bare and probed fingerprints must match the committed
 // golden byte-for-byte.
 func TestEquivalence(t *testing.T) {
@@ -364,7 +393,7 @@ func TestEquivalence(t *testing.T) {
 		scn := scn
 		t.Run(scn.name, func(t *testing.T) {
 			execute := func(probed bool) string {
-				opts := sim.Options{Warmup: warmup}
+				opts := sim.Options{Warmup: warmup, Sketch: scn.sketch}
 				if scn.inj != nil {
 					opts.Injector = scn.inj(t)
 				}
@@ -399,7 +428,7 @@ func TestEquivalence(t *testing.T) {
 				t.Fatalf("missing golden (run with -update-golden to capture): %v", err)
 			}
 			if got != string(want) {
-				t.Errorf("fingerprint diverged from pre-refactor golden\n--- got ---\n%s--- want ---\n%s",
+				t.Errorf("fingerprint diverged from golden\n--- got ---\n%s--- want ---\n%s",
 					got, want)
 			}
 		})

@@ -65,6 +65,15 @@ func SettleAwareCost(d Device, r *Request, now float64) float64 {
 	return bd.ServiceMs - bd.Settle
 }
 
+// AgedCost discounts base by how long the request has waited: w ms of
+// cost forgiven per ms of queue wait (the aged SPTF of Jacobson &
+// Wilkes). w = 0 ranks exactly like base; a large w approaches FCFS.
+func AgedCost(base CostModel, w float64) CostModel {
+	return func(d Device, r *Request, now float64) float64 {
+		return base(d, r, now) - w*(now-r.Arrival)
+	}
+}
+
 // BreakdownEstimator is implemented by device models that can estimate
 // the per-phase decomposition of a prospective access without changing
 // device state — the estimation-side counterpart of BreakdownReporter.

@@ -147,6 +147,19 @@ func TestSettleAwareCost(t *testing.T) {
 	}
 }
 
+func TestAgedCost(t *testing.T) {
+	aged := core.AgedCost(core.AccessCost, 0.05)
+	req := &core.Request{Arrival: 10, LBN: 1, Blocks: 8}
+	// Zero wait: exactly the base cost.
+	if got := aged(opaqueDevice{}, req, 10); got != 7.5 {
+		t.Fatalf("zero-wait aged cost = %g, want 7.5", got)
+	}
+	// 100 ms of wait forgives 0.05·100 = 5 ms.
+	if got := aged(opaqueDevice{}, req, 110); got != 7.5-0.05*100 {
+		t.Fatalf("aged cost after 100 ms = %g, want %g", got, 7.5-0.05*100)
+	}
+}
+
 func TestClassString(t *testing.T) {
 	cases := map[core.Class]string{
 		core.ClassForeground:   "foreground",

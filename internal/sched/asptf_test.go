@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"math"
 	"testing"
 
 	"memsim/internal/core"
@@ -9,25 +10,29 @@ import (
 	"memsim/internal/workload"
 )
 
+// TestASPTFZeroWeightEqualsSPTF also covers the zero-wait case: at
+// t = 0 with every arrival at 0, aging is a no-op for any weight.
 func TestASPTFZeroWeightEqualsSPTF(t *testing.T) {
 	d := mems.MustDevice(mems.DefaultConfig())
 	g := d.Geometry()
-	a := NewASPTF(0)
-	s := NewSPTF()
 	lbns := []int64{
 		g.LBN(0, 0, 0, 0),
 		g.LBN(g.Cylinders/2, 1, 3, 0),
 		g.LBN(g.Cylinders-1, 4, 20, 0),
 	}
-	for _, lbn := range lbns {
-		a.Add(&core.Request{LBN: lbn, Blocks: 8})
-		s.Add(&core.Request{LBN: lbn, Blocks: 8})
-	}
-	for s.Len() > 0 {
-		ra := a.Next(d, 0)
-		rs := s.Next(d, 0)
-		if ra.LBN != rs.LBN {
-			t.Fatalf("ASPTF(0) picked %d, SPTF picked %d", ra.LBN, rs.LBN)
+	for _, w := range []float64{0, 0.05} {
+		a := NewASPTF(w)
+		s := NewSPTF()
+		for _, lbn := range lbns {
+			a.Add(&core.Request{LBN: lbn, Blocks: 8})
+			s.Add(&core.Request{LBN: lbn, Blocks: 8})
+		}
+		for s.Len() > 0 {
+			ra := a.Next(d, 0)
+			rs := s.Next(d, 0)
+			if ra.LBN != rs.LBN {
+				t.Fatalf("%s picked %d, SPTF picked %d", a.Name(), ra.LBN, rs.LBN)
+			}
 		}
 	}
 }
@@ -52,13 +57,19 @@ func TestASPTFName(t *testing.T) {
 	}
 }
 
+// TestASPTFNegativeWeightPanics also rejects non-finite weights: NaN,
+// or Inf·0 at zero wait, would make every cost NaN.
 func TestASPTFNegativeWeightPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic")
-		}
-	}()
-	NewASPTF(-1)
+	for _, w := range []float64{-1, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("NewASPTF(%g) did not panic", w)
+				}
+			}()
+			NewASPTF(w)
+		}()
+	}
 }
 
 func TestASPTFResetAndEmpty(t *testing.T) {

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"math"
 	"testing"
 
 	"memsim/internal/core"
@@ -221,6 +222,22 @@ func TestPriorityTieBreakDeterminism(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("Priority equal-cost dispatch = %v, want %v", got, want)
 		}
+	}
+}
+
+func TestNewPriorityWithPanics(t *testing.T) {
+	for name, f := range map[string]func(){
+		"nil cost":      func() { NewPriorityWith(nil, DefaultPromoteMs) },
+		"NaN promotion": func() { NewPriorityWith(core.AccessCost, math.NaN()) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: no panic", name)
+				}
+			}()
+			f()
+		}()
 	}
 }
 

@@ -49,11 +49,10 @@ const DefaultIndexWindow = 16
 // mechanical estimate costs orders of magnitude more than a pointer
 // copy.
 type IndexedSPTF struct {
-	q      []*core.Request // ascending LBN; stable among equals
-	cost   core.CostModel
-	name   string
-	window int
-	lastLBN
+	lastLBN // q ascending by LBN; stable among equals
+	cost    core.CostModel
+	name    string
+	window  int
 }
 
 var _ core.Scheduler = (*IndexedSPTF)(nil)
@@ -87,15 +86,6 @@ func NewIndexedCost(name string, cost core.CostModel, window int) *IndexedSPTF {
 // Name implements core.Scheduler.
 func (s *IndexedSPTF) Name() string { return s.name }
 
-// Len implements core.Scheduler.
-func (s *IndexedSPTF) Len() int { return len(s.q) }
-
-// Reset implements core.Scheduler, keeping queue capacity like FCFS.
-func (s *IndexedSPTF) Reset() {
-	clear(s.q)
-	s.q, s.pos = s.q[:0], 0
-}
-
 // Add implements core.Scheduler: binary-search insertion keeps the
 // queue LBN-sorted, with equal-LBN requests in arrival order.
 func (s *IndexedSPTF) Add(r *core.Request) {
@@ -127,10 +117,5 @@ func (s *IndexedSPTF) Next(d core.Device, now float64) *core.Request {
 			best, bestT = i, t
 		}
 	}
-	r := s.q[best]
-	copy(s.q[best:], s.q[best+1:])
-	s.q[n-1] = nil
-	s.q = s.q[:n-1]
-	s.dispatched(r)
-	return r
+	return s.dispatched(s.remove(best))
 }

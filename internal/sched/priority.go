@@ -2,6 +2,7 @@ package sched
 
 import (
 	"fmt"
+	"math"
 
 	"memsim/internal/core"
 )
@@ -29,7 +30,7 @@ const DefaultPromoteMs = 50
 // Ties (same band, equal cost) break on scan position exactly like
 // SPTF: earliest-scanned wins.
 type Priority struct {
-	q         []*core.Request
+	queue
 	cost      core.CostModel
 	promoteMs float64
 }
@@ -44,28 +45,20 @@ func NewPriority() *Priority {
 
 // NewPriorityWith returns a Priority queue over an arbitrary cost model
 // and promotion threshold. promoteMs ≤ 0 disables promotion (strict
-// bands, unbounded rebuild starvation); it panics on a nil model.
+// bands, unbounded rebuild starvation); it panics on a nil model or a
+// NaN threshold.
 func NewPriorityWith(cost core.CostModel, promoteMs float64) *Priority {
 	if cost == nil {
 		panic("sched: nil cost model")
+	}
+	if math.IsNaN(promoteMs) {
+		panic("sched: NaN promotion threshold")
 	}
 	return &Priority{cost: cost, promoteMs: promoteMs}
 }
 
 // Name implements core.Scheduler.
 func (p *Priority) Name() string { return "Priority" }
-
-// Add implements core.Scheduler.
-func (p *Priority) Add(r *core.Request) { p.q = append(p.q, r) }
-
-// Len implements core.Scheduler.
-func (p *Priority) Len() int { return len(p.q) }
-
-// Reset implements core.Scheduler, keeping queue capacity like FCFS.
-func (p *Priority) Reset() {
-	clear(p.q)
-	p.q = p.q[:0]
-}
 
 // band maps a request to its service band at time now: 0 degraded-read
 // (and anything age-promoted), 1 foreground, 2 rebuild.
@@ -102,11 +95,7 @@ func (p *Priority) Next(d core.Device, now float64) *core.Request {
 			best, bestBand, bestT = i, band, t
 		}
 	}
-	r := p.q[best]
-	p.q[best] = p.q[len(p.q)-1]
-	p.q[len(p.q)-1] = nil
-	p.q = p.q[:len(p.q)-1]
-	return r
+	return p.take(best)
 }
 
 // String aids debugging.

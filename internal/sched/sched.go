@@ -3,7 +3,9 @@
 // approximated by LBN distance (SSTF_LBN), Cyclical LOOK (C-LOOK), and
 // Shortest-Positioning-Time-First (SPTF).
 //
-// All schedulers implement core.Scheduler. SSTF_LBN and C-LOOK use only
+// All schedulers implement core.Scheduler over one queue core (queue,
+// and lastLBN for the position-tracking policies); each keeps its own
+// selection scan in Next. SSTF_LBN and C-LOOK use only
 // logical block numbers, treating LBN distance as a proxy for positioning
 // time — the information a host OS actually has (§4.1, Worthington et
 // al.). SPTF asks the device model for an exact positioning estimate,
@@ -13,6 +15,7 @@ package sched
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"memsim/internal/core"
@@ -57,10 +60,76 @@ func AllNames() []string {
 	return append(Names(), "SettleAware", "Priority", "SPTF_IDX", "SettleAware_IDX")
 }
 
+// queue is the pending-request store every scheduler embeds. Add
+// appends in arrival order; take swap-removes, so a position-aware
+// scan sees arrival order permuted by earlier dispatches.
+type queue struct {
+	q []*core.Request
+}
+
+// Add implements core.Scheduler.
+func (s *queue) Add(r *core.Request) { s.q = append(s.q, r) }
+
+// Len implements core.Scheduler.
+func (s *queue) Len() int { return len(s.q) }
+
+// Reset implements core.Scheduler. The backing array is kept (elements
+// cleared so serviced requests are not pinned) so a reused scheduler
+// does not regrow its queue from scratch every run.
+func (s *queue) Reset() {
+	clear(s.q)
+	s.q = s.q[:0]
+}
+
+// take removes and returns q[i], moving the tail into its place.
+func (s *queue) take(i int) *core.Request {
+	n := len(s.q) - 1
+	r := s.q[i]
+	s.q[i] = s.q[n]
+	s.q[n] = nil
+	s.q = s.q[:n]
+	return r
+}
+
+// remove removes and returns q[i], keeping the rest in order. It
+// shifts rather than re-slices so the backing array does not pin
+// serviced requests.
+func (s *queue) remove(i int) *core.Request {
+	n := len(s.q) - 1
+	r := s.q[i]
+	copy(s.q[i:], s.q[i+1:])
+	s.q[n] = nil
+	s.q = s.q[:n]
+	return r
+}
+
+// lastLBN is a queue that also tracks the block following the most
+// recently dispatched request, the reference point for LBN-distance
+// algorithms. Reset returns it to LBN 0, as for a fresh scheduler.
+type lastLBN struct {
+	queue
+	pos int64
+}
+
+// Reset implements core.Scheduler.
+func (l *lastLBN) Reset() {
+	l.queue.Reset()
+	l.pos = 0
+}
+
+// take is queue.take that records the dispatch.
+func (l *lastLBN) take(i int) *core.Request { return l.dispatched(l.queue.take(i)) }
+
+// dispatched moves the head past r and returns r.
+func (l *lastLBN) dispatched(r *core.Request) *core.Request {
+	l.pos = r.LBN + int64(r.Blocks)
+	return r
+}
+
 // FCFS services requests strictly in arrival order. It is the reference
 // point that saturates first in Figs. 5 and 6.
 type FCFS struct {
-	q []*core.Request
+	queue
 }
 
 // NewFCFS returns an empty FCFS queue.
@@ -69,32 +138,12 @@ func NewFCFS() *FCFS { return &FCFS{} }
 // Name implements core.Scheduler.
 func (f *FCFS) Name() string { return "FCFS" }
 
-// Add implements core.Scheduler.
-func (f *FCFS) Add(r *core.Request) { f.q = append(f.q, r) }
-
-// Len implements core.Scheduler.
-func (f *FCFS) Len() int { return len(f.q) }
-
-// Reset implements core.Scheduler. The backing array is kept (elements
-// cleared so serviced requests are not pinned) so a reused scheduler
-// does not regrow its queue from scratch every run.
-func (f *FCFS) Reset() {
-	clear(f.q)
-	f.q = f.q[:0]
-}
-
 // Next implements core.Scheduler.
 func (f *FCFS) Next(core.Device, float64) *core.Request {
 	if len(f.q) == 0 {
 		return nil
 	}
-	r := f.q[0]
-	// Shift rather than re-slice so the backing array does not pin every
-	// serviced request.
-	copy(f.q, f.q[1:])
-	f.q[len(f.q)-1] = nil
-	f.q = f.q[:len(f.q)-1]
-	return r
+	return f.remove(0)
 }
 
 // Requeue implements core.Requeuer: a request retried after a failed
@@ -109,19 +158,10 @@ func (f *FCFS) Requeue(r *core.Request) {
 	f.q[0] = r
 }
 
-// lastLBN tracks the block following the most recently dispatched request,
-// the reference point for LBN-distance algorithms.
-type lastLBN struct {
-	pos int64
-}
-
-func (l *lastLBN) dispatched(r *core.Request) { l.pos = r.LBN + int64(r.Blocks) }
-
 // SSTF schedules the pending request whose starting LBN is closest to the
 // last accessed LBN ("SSTF_LBN" in the paper): a greedy policy with good
 // average performance but poor starvation resistance.
 type SSTF struct {
-	q []*core.Request
 	lastLBN
 }
 
@@ -130,18 +170,6 @@ func NewSSTF() *SSTF { return &SSTF{} }
 
 // Name implements core.Scheduler.
 func (s *SSTF) Name() string { return "SSTF_LBN" }
-
-// Add implements core.Scheduler.
-func (s *SSTF) Add(r *core.Request) { s.q = append(s.q, r) }
-
-// Len implements core.Scheduler.
-func (s *SSTF) Len() int { return len(s.q) }
-
-// Reset implements core.Scheduler, keeping queue capacity like FCFS.
-func (s *SSTF) Reset() {
-	clear(s.q)
-	s.q, s.pos = s.q[:0], 0
-}
 
 // Next implements core.Scheduler.
 func (s *SSTF) Next(core.Device, float64) *core.Request {
@@ -161,21 +189,11 @@ func (s *SSTF) Next(core.Device, float64) *core.Request {
 	return s.take(best)
 }
 
-func (s *SSTF) take(i int) *core.Request {
-	r := s.q[i]
-	s.q[i] = s.q[len(s.q)-1]
-	s.q[len(s.q)-1] = nil
-	s.q = s.q[:len(s.q)-1]
-	s.dispatched(r)
-	return r
-}
-
 // CLOOK services requests in ascending LBN order, starting over with the
 // lowest pending LBN once no request lies ahead of the most recent one
 // (Seaman et al., 1966). It trades a little average performance for the
 // best starvation resistance of the four policies.
 type CLOOK struct {
-	q []*core.Request
 	lastLBN
 }
 
@@ -184,18 +202,6 @@ func NewCLOOK() *CLOOK { return &CLOOK{} }
 
 // Name implements core.Scheduler.
 func (c *CLOOK) Name() string { return "C-LOOK" }
-
-// Add implements core.Scheduler.
-func (c *CLOOK) Add(r *core.Request) { c.q = append(c.q, r) }
-
-// Len implements core.Scheduler.
-func (c *CLOOK) Len() int { return len(c.q) }
-
-// Reset implements core.Scheduler, keeping queue capacity like FCFS.
-func (c *CLOOK) Reset() {
-	clear(c.q)
-	c.q, c.pos = c.q[:0], 0
-}
 
 // Next implements core.Scheduler.
 func (c *CLOOK) Next(core.Device, float64) *core.Request {
@@ -213,16 +219,10 @@ func (c *CLOOK) Next(core.Device, float64) *core.Request {
 			ahead = i
 		}
 	}
-	pick := ahead
-	if pick < 0 {
-		pick = lowest
+	if ahead < 0 {
+		return c.take(lowest)
 	}
-	r := c.q[pick]
-	c.q[pick] = c.q[len(c.q)-1]
-	c.q[len(c.q)-1] = nil
-	c.q = c.q[:len(c.q)-1]
-	c.dispatched(r)
-	return r
+	return c.take(ahead)
 }
 
 // SPTF services the pending request with the smallest predicted cost
@@ -232,14 +232,14 @@ func (c *CLOOK) Next(core.Device, float64) *core.Request {
 // for disks this accounts for rotational position; for MEMS-based
 // storage it accounts for the parallel X/Y seeks, spring forces, and
 // settling time. Variants plug in a different scoring function rather
-// than a new queue type (see NewSettleAware).
+// than a new queue type (see NewSettleAware and NewASPTF).
 //
 // Ties break on queue position: among equal-cost candidates the
 // earliest-scanned wins (strict-less comparison), and the internal scan
 // order is arrival order permuted by swap-removal. Determinism tests
 // pin this.
 type SPTF struct {
-	q    []*core.Request
+	queue
 	cost core.CostModel
 	name string
 }
@@ -258,6 +258,22 @@ func NewSettleAware() *SPTF {
 	return &SPTF{cost: core.SettleAwareCost, name: "SettleAware"}
 }
 
+// NewASPTF returns aged SPTF (Jacobson & Wilkes): an SPTF queue scoring
+// by core.AgedCost(core.AccessCost, weight), so a request's estimate is
+// discounted by weight ms per ms it has waited. Pure SPTF's greediness
+// starves distant requests — the Fig. 6 reproduction shows its σ²/µ²
+// exploding at the saturation knee, where the paper observed SPTF's
+// "odd behavior" — and a small weight trades a little mean response for
+// bounded tails. Weight 0 is SPTF; large weights approach FCFS. It
+// panics unless weight is finite and non-negative: an infinite weight
+// makes every zero-wait cost NaN (Inf·0), which no scan can rank.
+func NewASPTF(weight float64) *SPTF {
+	if !(weight >= 0) || math.IsInf(weight, 1) {
+		panic(fmt.Sprintf("sched: ASPTF weight %g is not finite and non-negative", weight))
+	}
+	return NewCostSPTF(fmt.Sprintf("ASPTF(%g)", weight), core.AgedCost(core.AccessCost, weight))
+}
+
 // NewCostSPTF returns an SPTF queue over an arbitrary cost model,
 // reported under the given name. It panics on a nil model.
 func NewCostSPTF(name string, cost core.CostModel) *SPTF {
@@ -269,18 +285,6 @@ func NewCostSPTF(name string, cost core.CostModel) *SPTF {
 
 // Name implements core.Scheduler.
 func (s *SPTF) Name() string { return s.name }
-
-// Add implements core.Scheduler.
-func (s *SPTF) Add(r *core.Request) { s.q = append(s.q, r) }
-
-// Len implements core.Scheduler.
-func (s *SPTF) Len() int { return len(s.q) }
-
-// Reset implements core.Scheduler, keeping queue capacity like FCFS.
-func (s *SPTF) Reset() {
-	clear(s.q)
-	s.q = s.q[:0]
-}
 
 // Next implements core.Scheduler.
 func (s *SPTF) Next(d core.Device, now float64) *core.Request {
@@ -294,11 +298,7 @@ func (s *SPTF) Next(d core.Device, now float64) *core.Request {
 			best, bestT = i, t
 		}
 	}
-	r := s.q[best]
-	s.q[best] = s.q[len(s.q)-1]
-	s.q[len(s.q)-1] = nil
-	s.q = s.q[:len(s.q)-1]
-	return r
+	return s.take(best)
 }
 
 // Drain removes and returns all pending requests in dispatch order —

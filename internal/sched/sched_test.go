@@ -14,6 +14,21 @@ func req(lbn int64) *core.Request {
 	return &core.Request{Op: core.Read, LBN: lbn, Blocks: 8}
 }
 
+// everyScheduler returns a fresh instance of every policy: each name
+// New accepts, plus ASPTF, which takes a weight.
+func everyScheduler(t *testing.T) []core.Scheduler {
+	t.Helper()
+	var out []core.Scheduler
+	for _, name := range AllNames() {
+		s, err := New(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, s)
+	}
+	return append(out, NewASPTF(0.01))
+}
+
 func TestNewByName(t *testing.T) {
 	for _, name := range AllNames() {
 		s, err := New(name)
@@ -77,7 +92,7 @@ func TestFCFSRequeueGoesToFront(t *testing.T) {
 }
 
 func TestFCFSEmpty(t *testing.T) {
-	for _, s := range []core.Scheduler{NewFCFS(), NewSSTF(), NewCLOOK(), NewSPTF(), NewSettleAware(), NewPriority()} {
+	for _, s := range everyScheduler(t) {
 		if r := s.Next(nil, 0); r != nil {
 			t.Errorf("%s: Next on empty queue = %v, want nil", s.Name(), r)
 		}
@@ -206,18 +221,8 @@ func TestSPTFUsesRotationOnDisk(t *testing.T) {
 func TestAllSchedulersConserveRequests(t *testing.T) {
 	// Property: every added request comes back exactly once.
 	d := mems.MustDevice(mems.DefaultConfig())
-	mk := []func() core.Scheduler{
-		func() core.Scheduler { return NewFCFS() },
-		func() core.Scheduler { return NewSSTF() },
-		func() core.Scheduler { return NewCLOOK() },
-		func() core.Scheduler { return NewSPTF() },
-		func() core.Scheduler { return NewSettleAware() },
-		func() core.Scheduler { return NewPriority() },
-		func() core.Scheduler { return NewASPTF(0.01) },
-	}
 	rng := rand.New(rand.NewSource(2))
-	for _, make := range mk {
-		s := make()
+	for _, s := range everyScheduler(t) {
 		seen := map[*core.Request]bool{}
 		var added []*core.Request
 		for i := 0; i < 500; i++ {
@@ -250,7 +255,7 @@ func TestAllSchedulersConserveRequests(t *testing.T) {
 }
 
 func TestReset(t *testing.T) {
-	for _, s := range []core.Scheduler{NewFCFS(), NewSSTF(), NewCLOOK(), NewSPTF(), NewSettleAware(), NewPriority()} {
+	for _, s := range everyScheduler(t) {
 		s.Add(req(1))
 		s.Add(req(2))
 		s.Reset()
@@ -259,6 +264,38 @@ func TestReset(t *testing.T) {
 		}
 		if r := s.Next(nil, 0); r != nil {
 			t.Errorf("%s: Next after Reset = %v", s.Name(), r)
+		}
+	}
+}
+
+// TestResetClearsHeadPosition checks that a reset position-tracking
+// scheduler dispatches exactly as a fresh one: the engine reuses
+// schedulers across runs and resets them at run start.
+func TestResetClearsHeadPosition(t *testing.T) {
+	d := mems.MustDevice(mems.DefaultConfig())
+	rng := rand.New(rand.NewSource(5))
+	spread := make([]int64, 4*DefaultIndexWindow)
+	for i := range spread {
+		spread[i] = rng.Int63n(d.Capacity() - 8)
+	}
+	drain := func(s core.Scheduler) []int64 {
+		for _, lbn := range spread {
+			s.Add(req(lbn))
+		}
+		return lbns(Drain(s, d, 0))
+	}
+	for _, name := range []string{"SSTF_LBN", "C-LOOK", "SPTF_IDX"} {
+		fresh, _ := New(name)
+		reused, _ := New(name)
+		// Leave the head mid-device before resetting.
+		reused.Add(req(d.Capacity() / 2))
+		reused.Next(d, 0)
+		reused.Reset()
+		want, got := drain(fresh), drain(reused)
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%s after Reset dispatched %v, fresh dispatched %v", name, got, want)
+			}
 		}
 	}
 }

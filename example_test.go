@@ -56,7 +56,7 @@ func ExampleNewDeviceArray() {
 		}
 		members[i] = d
 	}
-	arr, err := memsim.NewDeviceArray(memsim.ArrayConfig{Level: memsim.RAID5, StripeUnit: 8}, members)
+	arr, err := memsim.NewDeviceArray(memsim.ArrayConfig{Level: memsim.VolumeParity, StripeUnit: 8}, members)
 	if err != nil {
 		panic(err)
 	}

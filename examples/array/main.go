@@ -73,7 +73,7 @@ func buildArray(mk func() memsim.Device) *memsim.DeviceArray {
 	for i := range members {
 		members[i] = mk()
 	}
-	a, err := memsim.NewDeviceArray(memsim.ArrayConfig{Level: memsim.RAID5, StripeUnit: 8}, members)
+	a, err := memsim.NewDeviceArray(memsim.ArrayConfig{Level: memsim.VolumeParity, StripeUnit: 8}, members)
 	if err != nil {
 		log.Fatal(err)
 	}

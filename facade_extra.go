@@ -133,22 +133,14 @@ func NewSlipRemapDevice(dev Device) *SlipRemapDevice { return fault.NewSlipRemap
 
 // ─── Arrays (§6.2) ──────────────────────────────────────────────────────
 
-// RAIDLevel selects the inter-device redundancy scheme.
-type RAIDLevel = array.Level
-
-// The supported array levels.
-const (
-	RAID0 = array.RAID0
-	RAID1 = array.RAID1
-	RAID5 = array.RAID5
-)
-
-// ArrayConfig parameterizes a device array.
+// ArrayConfig parameterizes a device array: its Level is a VolumeLevel
+// (VolumeStripe, VolumeMirror or VolumeParity for RAID-0, -1 and -5).
 type ArrayConfig = array.Config
 
-// DeviceArray combines member devices into one logical device; RAID-5
-// small writes pay the read-modify-write sequence whose cost Table 2
-// compares across device types.
+// DeviceArray combines member devices into one logical device by
+// running the same member-operation plans as SimulateVolume, one phase
+// at a time; RAID-5 small writes pay the read-modify-write sequence
+// whose cost Table 2 compares across device types.
 type DeviceArray = array.Array
 
 // NewDeviceArray builds an array over equal-geometry members.
@@ -313,8 +305,10 @@ func SimulateVolume(spec VolumeSpec, src WorkloadSource, opts SimOptions) (SimRe
 // VolumeSpec.RebuildPolicy. Implementations must be deterministic.
 type RebuildPolicy = sim.RebuildPolicy
 
-// FixedRebuildPolicy is the default constant-duty-cycle throttle
-// (equivalent to VolumeSpec.RebuildFrac).
+// FixedRebuildPolicy is the constant-duty-cycle throttle: rebuild I/O
+// occupies roughly Frac of the rebuilder's timeline. A nil
+// VolumeSpec.RebuildPolicy selects FixedRebuildPolicy{Frac: 1}, a
+// flat-out rebuild; SimulateVolume rejects a Frac outside (0,1].
 type FixedRebuildPolicy = sim.FixedRebuild
 
 // AdaptiveRebuildPolicy backs the rebuild off as foreground queue depth

@@ -6,11 +6,14 @@
 // that motivated a decade of disk-array optimizations (parity logging,
 // floating parity, log-structured arrays).
 //
-// The array is itself a core.Device: member devices operate in parallel,
-// so an access's service time is the maximum over the members involved,
-// and a RAID-5 small write is two phases (read old data + old parity;
-// then write new data + new parity) whose second phase begins when the
-// slowest first-phase member finishes.
+// One geometry and one planner serve both uses. A Volume (volume.go)
+// realizes each request as a Plan of fork-join member operations;
+// sim.RunVolume runs plans on per-member queues, and Array runs them
+// synchronously as one core.Device: every operation of a phase starts
+// when the phase does, and the phase lasts as long as its slowest
+// operation. A RAID-5 small write is thus two phases (read old data +
+// old parity; then write new data + new parity) whose second phase
+// begins when the slowest first-phase member finishes.
 package array
 
 import (
@@ -19,55 +22,28 @@ import (
 	"memsim/internal/core"
 )
 
-// Level selects the redundancy scheme.
-type Level int
-
-const (
-	// RAID0 stripes with no redundancy.
-	RAID0 Level = iota
-	// RAID1 mirrors all members.
-	RAID1
-	// RAID5 rotates block-interleaved parity (left-symmetric).
-	RAID5
-)
-
-// String implements fmt.Stringer.
-func (l Level) String() string {
-	switch l {
-	case RAID0:
-		return "RAID-0"
-	case RAID1:
-		return "RAID-1"
-	case RAID5:
-		return "RAID-5"
-	default:
-		return fmt.Sprintf("Level(%d)", int(l))
-	}
-}
-
 // Config parameterizes an array.
 type Config struct {
 	// Level is the redundancy scheme.
-	Level Level
+	Level VolumeLevel
 	// StripeUnit is the number of consecutive sectors placed on one
-	// member before moving to the next (ignored by RAID-1).
+	// member before moving to the next; mirrors rotate reads across
+	// replicas in runs of this size.
 	StripeUnit int
 }
 
 // Array combines member devices into one logical device.
 type Array struct {
-	cfg      Config
-	members  []core.Device
-	capacity int64
-	perDev   int64 // usable sectors per member
-	failed   int   // index of the failed member, or -1
+	members []core.Device
+	vol     *Volume
 }
 
 var _ core.Device = (*Array)(nil)
 
-// New builds an array over the given members, which must be non-empty,
-// of equal capacity and sector size, and number ≥2 for the redundant
-// levels.
+// New builds an array over the given members, which must be non-empty
+// and of equal capacity and sector size. Each member contributes its
+// capacity rounded down to whole stripe units; the level's member-count
+// rules are VolumeConfig.Validate's.
 func New(cfg Config, members []core.Device) (*Array, error) {
 	if len(members) == 0 {
 		return nil, fmt.Errorf("array: no members")
@@ -79,40 +55,30 @@ func New(cfg Config, members []core.Device) (*Array, error) {
 			return nil, fmt.Errorf("array: member %d geometry differs from member 0", i+1)
 		}
 	}
-	switch cfg.Level {
-	case RAID0, RAID1, RAID5:
-	default:
-		return nil, fmt.Errorf("array: unknown level %d", int(cfg.Level))
+	unit := int64(cfg.StripeUnit)
+	per := cap0
+	if unit > 0 {
+		per = cap0 / unit * unit
 	}
-	if cfg.Level != RAID1 && cfg.StripeUnit <= 0 {
-		return nil, fmt.Errorf("array: stripe unit must be positive, got %d", cfg.StripeUnit)
+	vol, err := NewVolume(VolumeConfig{
+		Level: cfg.Level, Members: len(members), StripeUnit: unit, PerMember: per,
+	})
+	if err != nil {
+		return nil, err
 	}
-	if (cfg.Level == RAID1 || cfg.Level == RAID5) && len(members) < 2 {
-		return nil, fmt.Errorf("array: %s needs at least 2 members", cfg.Level)
-	}
-	a := &Array{cfg: cfg, members: members, failed: -1}
-	n := int64(len(members))
-	switch cfg.Level {
-	case RAID0:
-		a.perDev = cap0
-		a.capacity = cap0 * n
-	case RAID1:
-		a.perDev = cap0
-		a.capacity = cap0
-	case RAID5:
-		a.perDev = cap0
-		a.capacity = cap0 * (n - 1)
-	}
-	return a, nil
+	return &Array{members: members, vol: vol}, nil
 }
+
+// raidNumber names each level by its classic RAID number.
+var raidNumber = [...]int{VolStripe: 0, VolMirror: 1, VolParity: 5}
 
 // Name implements core.Device.
 func (a *Array) Name() string {
-	return fmt.Sprintf("%s×%d(%s)", a.cfg.Level, len(a.members), a.members[0].Name())
+	return fmt.Sprintf("RAID-%d×%d(%s)", raidNumber[a.vol.cfg.Level], len(a.members), a.members[0].Name())
 }
 
 // Capacity implements core.Device.
-func (a *Array) Capacity() int64 { return a.capacity }
+func (a *Array) Capacity() int64 { return a.vol.Capacity() }
 
 // SectorSize implements core.Device.
 func (a *Array) SectorSize() int { return a.members[0].SectorSize() }
@@ -132,270 +98,90 @@ func (a *Array) Members() int { return len(a.members) }
 // mode (RAID-1/5) or panic on data loss (RAID-0). It panics on an
 // out-of-range index or a second failure (single-fault model).
 func (a *Array) FailMember(i int) {
-	if i < 0 || i >= len(a.members) {
-		panic(fmt.Sprintf("array: member %d out of range", i))
-	}
-	if a.failed >= 0 && a.failed != i {
+	if f := a.vol.Failed(); f >= 0 && f != i {
 		panic("array: model supports a single failed member")
 	}
-	a.failed = i
+	if err := a.vol.Fail(i); err != nil {
+		panic(err)
+	}
 }
 
 // Repair clears the failed-member state (after a rebuild).
-func (a *Array) Repair() { a.failed = -1 }
+func (a *Array) Repair() { a.vol.Reset() }
 
 // Degraded reports whether a member is failed.
-func (a *Array) Degraded() bool { return a.failed >= 0 }
+func (a *Array) Degraded() bool { return a.vol.Degraded() }
 
-// chunk is one member's share of a request.
-type chunk struct {
-	dev    int
-	lbn    int64
-	blocks int
-}
-
-// stripeRowOf locates logical block lbn for striped levels: the member
-// holding it, the member LBN, and (for RAID5) the parity member of its
-// row.
-func (a *Array) mapBlock(lbn int64) (dev int, devLBN int64, parityDev int) {
-	u := int64(a.cfg.StripeUnit)
-	n := int64(len(a.members))
-	strip := lbn / u
-	off := lbn % u
-	switch a.cfg.Level {
-	case RAID0:
-		row := strip / n
-		return int(strip % n), row*u + off, -1
-	case RAID5:
-		dataPerRow := n - 1
-		row := strip / dataPerRow
-		idx := strip % dataPerRow
-		// Left-symmetric: parity rotates right-to-left; data fills the
-		// remaining members starting after the parity slot.
-		p := int((n - 1 - row%n + n) % n)
-		d := (p + 1 + int(idx)) % int(n)
-		return d, row*u + off, p
-	default:
-		panic("array: mapBlock on non-striped level")
+// plan realizes req under the current redundancy state, panicking when
+// the addressed data is lost.
+func (a *Array) plan(req *core.Request) Plan {
+	plan := a.vol.PlanRead
+	if req.Op == core.Write {
+		plan = a.vol.PlanWrite
 	}
-}
-
-// split decomposes a logical extent into per-member chunks, cutting at
-// strip boundaries. When merge is true, consecutive blocks that land
-// contiguously on the same member coalesce into one chunk (fine for
-// reads); RAID-5 writes keep strips separate because the parity member
-// rotates per row.
-func (a *Array) split(lbn int64, blocks int, merge bool) []chunk {
-	var out []chunk
-	for i := 0; i < blocks; {
-		dev, dlbn, _ := a.mapBlock(lbn + int64(i))
-		// Extend to the end of this strip.
-		u := a.cfg.StripeUnit
-		within := int((lbn + int64(i)) % int64(u))
-		run := u - within
-		if left := blocks - i; run > left {
-			run = left
-		}
-		if n := len(out); merge && n > 0 && out[n-1].dev == dev &&
-			out[n-1].lbn+int64(out[n-1].blocks) == dlbn {
-			out[n-1].blocks += run
-		} else {
-			out = append(out, chunk{dev: dev, lbn: dlbn, blocks: run})
-		}
-		i += run
+	pl, ok := plan(req.LBN, req.Blocks)
+	if !ok {
+		panic("array: access to a failed member of an unprotected array loses data")
 	}
-	return out
+	return pl
 }
 
-// Access implements core.Device.
+// phase issues every operation of ops at start through serve and
+// returns the slowest one's service time.
+func (a *Array) phase(ops []MemberOp, start float64, serve func(core.Device, *core.Request, float64) float64) float64 {
+	max := 0.0
+	for _, op := range ops {
+		r := core.Request{Op: op.Op, LBN: op.LBN, Blocks: op.Blocks}
+		if t := serve(a.members[a.vol.DeviceOf(op.Slot)], &r, start); t > max {
+			max = t
+		}
+	}
+	return max
+}
+
+// Access implements core.Device: the request's plan runs phase by
+// phase, each starting when the previous one's slowest operation ends.
 func (a *Array) Access(req *core.Request, now float64) float64 {
-	if req.Blocks <= 0 || req.LBN < 0 || req.LBN+int64(req.Blocks) > a.capacity {
-		panic(fmt.Sprintf("array: request [%d,%d) outside capacity %d",
-			req.LBN, req.LBN+int64(req.Blocks), a.capacity))
+	pl := a.plan(req)
+	if len(pl.Phases) == 1 {
+		return a.phase(pl.Phases[0], now, core.Device.Access)
 	}
-	switch a.cfg.Level {
-	case RAID0:
-		return a.accessRAID0(req, now)
-	case RAID1:
-		return a.accessRAID1(req, now)
-	default:
-		return a.accessRAID5(req, now)
+	end := now
+	for _, ops := range pl.Phases {
+		end += a.phase(ops, end, core.Device.Access)
 	}
+	return end - now
 }
 
-// EstimateAccess implements core.Device. Estimating without mutating
-// every member's state is impractical for multi-phase operations, so the
-// estimate services a member-state snapshot. Member devices expose no
-// snapshot API; instead the array is documented as FCFS-scheduled (SPTF
-// over an array would need per-member queues anyway). The estimate
-// returned here is the single-member read lower bound, adequate for
-// LBN-based schedulers which never call it.
+// EstimateAccess implements core.Device: the slowest member estimate of
+// the plan's first phase, a lower bound on Access that mutates no
+// member. Later phases would need member-state snapshots the devices do
+// not expose, so the array is meant for FCFS or LBN-based schedulers,
+// which never call it.
 func (a *Array) EstimateAccess(req *core.Request, now float64) float64 {
-	if a.cfg.Level == RAID1 {
-		return a.members[a.readMirror()].EstimateAccess(req, now)
-	}
-	cs := a.split(req.LBN, req.Blocks, true)
-	max := 0.0
-	for _, c := range cs {
-		r := core.Request{Op: req.Op, LBN: c.lbn, Blocks: c.blocks}
-		if t := a.members[c.dev].EstimateAccess(&r, now); t > max {
-			max = t
-		}
-	}
-	return max
-}
-
-func (a *Array) accessRAID0(req *core.Request, now float64) float64 {
-	max := 0.0
-	for _, c := range a.split(req.LBN, req.Blocks, true) {
-		if c.dev == a.failed {
-			panic("array: RAID-0 access to a failed member loses data")
-		}
-		r := core.Request{Op: req.Op, LBN: c.lbn, Blocks: c.blocks}
-		if t := a.members[c.dev].Access(&r, now); t > max {
-			max = t
-		}
-	}
-	return max
-}
-
-// readMirror picks the member that serves RAID-1 reads (round-robin
-// would need state; member 0 unless failed keeps the model simple and
-// deterministic).
-func (a *Array) readMirror() int {
-	if a.failed == 0 {
-		return 1
-	}
-	return 0
-}
-
-func (a *Array) accessRAID1(req *core.Request, now float64) float64 {
-	if req.Op == core.Read {
-		m := a.readMirror()
-		r := *req
-		return a.members[m].Access(&r, now)
-	}
-	// Writes go to every healthy mirror in parallel.
-	max := 0.0
-	for i, m := range a.members {
-		if i == a.failed {
-			continue
-		}
-		r := *req
-		if t := m.Access(&r, now); t > max {
-			max = t
-		}
-	}
-	return max
-}
-
-func (a *Array) accessRAID5(req *core.Request, now float64) float64 {
-	if req.Op == core.Read {
-		return a.raid5Read(req, now)
-	}
-	return a.raid5Write(req, now)
-}
-
-func (a *Array) raid5Read(req *core.Request, now float64) float64 {
-	max := 0.0
-	for _, c := range a.split(req.LBN, req.Blocks, true) {
-		if c.dev == a.failed {
-			// Degraded read: reconstruct from all other members' blocks
-			// of the same rows (same member-LBN range on every device).
-			for i, m := range a.members {
-				if i == a.failed {
-					continue
-				}
-				r := core.Request{Op: core.Read, LBN: c.lbn, Blocks: c.blocks}
-				if t := m.Access(&r, now); t > max {
-					max = t
-				}
-			}
-			continue
-		}
-		r := core.Request{Op: core.Read, LBN: c.lbn, Blocks: c.blocks}
-		if t := a.members[c.dev].Access(&r, now); t > max {
-			max = t
-		}
-	}
-	return max
-}
-
-// raid5Write performs read-modify-write per chunk: phase 1 reads old
-// data and old parity in parallel; phase 2 (starting when the slower
-// finishes) writes new data and new parity. This is exactly the §6.2
-// sequence whose repositioning cost Table 2 compares. Full-row writes
-// could skip phase 1; the model keeps RMW for all writes, which is
-// conservative and matches small-write-dominated workloads.
-func (a *Array) raid5Write(req *core.Request, now float64) float64 {
-	// Chunks are serialized (write ordering); a single-chunk small write
-	// — the case §6.2 is about — is timed exactly.
-	cur := now
-	for _, c := range a.split(req.LBN, req.Blocks, false) {
-		_, _, parity := a.mapBlock(a.logicalOf(c))
-		phase1 := 0.0
-		readOne := func(dev int) {
-			if dev == a.failed {
-				return
-			}
-			r := core.Request{Op: core.Read, LBN: c.lbn, Blocks: c.blocks}
-			if t := a.members[dev].Access(&r, cur); t > phase1 {
-				phase1 = t
-			}
-		}
-		readOne(c.dev)
-		readOne(parity)
-		writeStart := cur + phase1
-		phase2 := 0.0
-		writeOne := func(dev int) {
-			if dev == a.failed {
-				return
-			}
-			r := core.Request{Op: core.Write, LBN: c.lbn, Blocks: c.blocks}
-			if t := a.members[dev].Access(&r, writeStart); t > phase2 {
-				phase2 = t
-			}
-		}
-		writeOne(c.dev)
-		writeOne(parity)
-		cur = writeStart + phase2
-	}
-	return cur - now
-}
-
-// logicalOf recovers a logical block on chunk c (its first block) so the
-// parity member of its row can be computed. Chunks never span strips of
-// different rows because split cuts at strip boundaries.
-func (a *Array) logicalOf(c chunk) int64 {
-	// Invert mapBlock for the chunk's first member block.
-	u := int64(a.cfg.StripeUnit)
-	n := int64(len(a.members))
-	row := c.lbn / u
-	off := c.lbn % u
-	p := int((n - 1 - row%n + n) % n)
-	idx := int64((c.dev - p - 1 + len(a.members)) % len(a.members))
-	return (row*(n-1)+idx)*u + off
+	return a.phase(a.plan(req).Phases[0], now, core.Device.EstimateAccess)
 }
 
 // RebuildTime estimates the time (ms) to reconstruct a failed member
 // onto a spare: every surviving member is read in full, streaming, while
 // the spare is written — the array reads dominate, so the estimate is
-// the slowest member's full sequential scan in chunks of scanChunk
-// sectors.
+// the slowest member's sequential scan of its PerMember sectors in
+// chunks of scanChunk sectors.
 func (a *Array) RebuildTime(scanChunk int) float64 {
 	if scanChunk <= 0 {
 		panic(fmt.Sprintf("array: scan chunk must be positive, got %d", scanChunk))
 	}
+	per := a.vol.cfg.PerMember
 	worst := 0.0
 	for i, m := range a.members {
-		if i == a.failed {
+		if i == a.vol.Failed() {
 			continue
 		}
 		m.Reset()
 		now := 0.0
-		for lbn := int64(0); lbn < a.perDev; lbn += int64(scanChunk) {
+		for lbn := int64(0); lbn < per; lbn += int64(scanChunk) {
 			n := scanChunk
-			if left := a.perDev - lbn; int64(n) > left {
+			if left := per - lbn; int64(n) > left {
 				n = int(left)
 			}
 			now += m.Access(&core.Request{Op: core.Read, LBN: lbn, Blocks: n}, now)

@@ -2,6 +2,7 @@ package array
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -52,14 +53,16 @@ func TestNewValidation(t *testing.T) {
 		mem  []core.Device
 		want bool
 	}{
-		{Config{Level: RAID0, StripeUnit: 8}, devs, true},
-		{Config{Level: RAID5, StripeUnit: 8}, devs, true},
-		{Config{Level: RAID1}, devs[:2], true},
-		{Config{Level: RAID0, StripeUnit: 8}, nil, false},
-		{Config{Level: RAID0, StripeUnit: 0}, devs, false},
-		{Config{Level: Level(9), StripeUnit: 8}, devs, false},
-		{Config{Level: RAID5, StripeUnit: 8}, devs[:1], false},
-		{Config{Level: RAID1}, devs[:1], false},
+		{Config{Level: VolStripe, StripeUnit: 8}, devs, true},
+		{Config{Level: VolParity, StripeUnit: 8}, devs, true},
+		{Config{Level: VolMirror, StripeUnit: 8}, devs[:2], true},
+		{Config{Level: VolStripe, StripeUnit: 8}, nil, false},
+		{Config{Level: VolStripe, StripeUnit: 0}, devs, false},
+		{Config{Level: VolStripe, StripeUnit: 1 << 21}, devs, false}, // no whole strip fits
+		{Config{Level: VolumeLevel(9), StripeUnit: 8}, devs, false},
+		{Config{Level: VolParity, StripeUnit: 8}, devs[:2], false},
+		{Config{Level: VolMirror, StripeUnit: 8}, devs[:1], false},
+		{Config{Level: VolMirror}, devs[:2], false},
 	}
 	for i, c := range cases {
 		_, err := New(c.cfg, c.mem)
@@ -70,7 +73,7 @@ func TestNewValidation(t *testing.T) {
 	// Mismatched geometry.
 	d := disk.MustDevice(disk.Atlas10K())
 	m := mems.MustDevice(mems.DefaultConfig())
-	if _, err := New(Config{Level: RAID0, StripeUnit: 8}, []core.Device{d, m}); err == nil {
+	if _, err := New(Config{Level: VolStripe, StripeUnit: 8}, []core.Device{d, m}); err == nil {
 		t.Error("expected geometry mismatch error")
 	}
 }
@@ -79,12 +82,12 @@ func TestCapacities(t *testing.T) {
 	devs, _ := fakes(4)
 	per := devs[0].Capacity()
 	for _, c := range []struct {
-		level Level
+		level VolumeLevel
 		want  int64
 	}{
-		{RAID0, 4 * per},
-		{RAID1, per},
-		{RAID5, 3 * per},
+		{VolStripe, 4 * per},
+		{VolMirror, per},
+		{VolParity, 3 * per},
 	} {
 		a, err := New(Config{Level: c.level, StripeUnit: 8}, devs)
 		if err != nil {
@@ -100,27 +103,40 @@ func TestCapacities(t *testing.T) {
 }
 
 func TestLevelString(t *testing.T) {
-	if RAID0.String() != "RAID-0" || RAID1.String() != "RAID-1" || RAID5.String() != "RAID-5" {
-		t.Error("level strings")
-	}
-	if Level(7).String() != "Level(7)" {
-		t.Error("unknown level string")
+	devs, _ := fakes(3)
+	for level, want := range map[VolumeLevel]string{
+		VolStripe: "RAID-0×3(fake)", VolMirror: "RAID-1×3(fake)", VolParity: "RAID-5×3(fake)",
+	} {
+		a, err := New(Config{Level: level, StripeUnit: 8}, devs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a.Name() != want {
+			t.Errorf("%v array name = %q, want %q", level, a.Name(), want)
+		}
 	}
 }
 
 func TestRAID0SplitCoversEverything(t *testing.T) {
-	devs, _ := fakes(4)
-	a, _ := New(Config{Level: RAID0, StripeUnit: 8}, devs)
+	// Every sector of a striped read is served by exactly one member
+	// access, within the member's capacity.
+	devs, raw := fakes(4)
+	a, _ := New(Config{Level: VolStripe, StripeUnit: 8}, devs)
 	f := func(rawLBN uint32, rawN uint8) bool {
 		lbn := int64(rawLBN) % (a.Capacity() - 300)
 		n := int(rawN)%256 + 1
-		chunks := a.split(lbn, n, true)
+		for _, d := range raw {
+			d.log = d.log[:0]
+		}
+		a.Access(&core.Request{Op: core.Read, LBN: lbn, Blocks: n}, 0)
 		total := 0
-		for _, c := range chunks {
-			if c.blocks <= 0 || c.lbn < 0 || c.lbn+int64(c.blocks) > devs[0].Capacity() {
-				return false
+		for _, d := range raw {
+			for _, r := range d.log {
+				if r.Blocks <= 0 || r.LBN < 0 || r.LBN+int64(r.Blocks) > devs[0].Capacity() {
+					return false
+				}
+				total += r.Blocks
 			}
-			total += c.blocks
 		}
 		return total == n
 	}
@@ -129,33 +145,27 @@ func TestRAID0SplitCoversEverything(t *testing.T) {
 	}
 }
 
-func TestRAID5MapBlockInverse(t *testing.T) {
-	devs, _ := fakes(5)
-	a, _ := New(Config{Level: RAID5, StripeUnit: 8}, devs)
-	f := func(raw uint32) bool {
-		lbn := int64(raw) % a.Capacity()
-		dev, devLBN, parity := a.mapBlock(lbn)
-		if dev == parity {
-			return false // data never lands on its row's parity member
-		}
-		c := chunk{dev: dev, lbn: devLBN}
-		// logicalOf must invert mapBlock at strip granularity.
-		return a.logicalOf(c) == lbn
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestRAID5ParityRotates(t *testing.T) {
-	devs, _ := fakes(4)
-	a, _ := New(Config{Level: RAID5, StripeUnit: 8}, devs)
+	devs, raw := fakes(4)
+	a, _ := New(Config{Level: VolParity, StripeUnit: 8}, devs)
 	seen := map[int]bool{}
 	for row := 0; row < 4; row++ {
-		// First logical block of each row: row * (n-1) strips in.
+		// A small write to the first strip of a row (row * (n-1) strips
+		// in) touches exactly its data member and its row's parity
+		// member. Left-symmetric: row r's parity is on member 3-r, and
+		// its first data strip on the member after it.
 		lbn := int64(row) * 3 * 8
-		_, _, p := a.mapBlock(lbn)
-		seen[p] = true
+		for _, d := range raw {
+			d.log = d.log[:0]
+		}
+		a.Access(&core.Request{Op: core.Write, LBN: lbn, Blocks: 8}, 0)
+		parity := 3 - row
+		for i, d := range raw {
+			if touched, want := len(d.log) > 0, i == parity || i == (parity+1)%4; touched != want {
+				t.Errorf("row %d: member %d touched=%v, want %v", row, i, touched, want)
+			}
+		}
+		seen[parity] = true
 	}
 	if len(seen) != 4 {
 		t.Errorf("parity used %d members over 4 rows, want all 4", len(seen))
@@ -164,7 +174,7 @@ func TestRAID5ParityRotates(t *testing.T) {
 
 func TestRAID0ReadParallelism(t *testing.T) {
 	devs, raw := fakes(4)
-	a, _ := New(Config{Level: RAID0, StripeUnit: 8}, devs)
+	a, _ := New(Config{Level: VolStripe, StripeUnit: 8}, devs)
 	// 32 sectors spanning all four members: time = max = one member's 1 ms.
 	svc := a.Access(&core.Request{Op: core.Read, LBN: 0, Blocks: 32}, 0)
 	if svc != 1 {
@@ -183,14 +193,19 @@ func TestRAID0ReadParallelism(t *testing.T) {
 
 func TestRAID1ReadOneWriteAll(t *testing.T) {
 	devs, raw := fakes(2)
-	a, _ := New(Config{Level: RAID1}, devs)
+	a, _ := New(Config{Level: VolMirror, StripeUnit: 8}, devs)
 	a.Access(&core.Request{Op: core.Read, LBN: 5, Blocks: 2}, 0)
 	if len(raw[0].log) != 1 || len(raw[1].log) != 0 {
 		t.Errorf("read fanout: %d/%d, want 1/0", len(raw[0].log), len(raw[1].log))
 	}
+	// The next stripe unit's reads rotate to the other replica.
+	a.Access(&core.Request{Op: core.Read, LBN: 13, Blocks: 2}, 0)
+	if len(raw[0].log) != 1 || len(raw[1].log) != 1 {
+		t.Errorf("rotated read fanout: %d/%d, want 1/1", len(raw[0].log), len(raw[1].log))
+	}
 	svc := a.Access(&core.Request{Op: core.Write, LBN: 5, Blocks: 2}, 0)
-	if len(raw[0].log) != 2 || len(raw[1].log) != 1 {
-		t.Errorf("write fanout: %d/%d, want 2/1", len(raw[0].log), len(raw[1].log))
+	if len(raw[0].log) != 2 || len(raw[1].log) != 2 {
+		t.Errorf("write fanout: %d/%d, want 2/2", len(raw[0].log), len(raw[1].log))
 	}
 	if svc != 2 {
 		t.Errorf("mirrored write = %g ms, want 2 (parallel)", svc)
@@ -199,7 +214,7 @@ func TestRAID1ReadOneWriteAll(t *testing.T) {
 
 func TestRAID1DegradedReadUsesSurvivor(t *testing.T) {
 	devs, raw := fakes(2)
-	a, _ := New(Config{Level: RAID1}, devs)
+	a, _ := New(Config{Level: VolMirror, StripeUnit: 8}, devs)
 	a.FailMember(0)
 	if !a.Degraded() {
 		t.Fatal("not degraded")
@@ -216,7 +231,7 @@ func TestRAID1DegradedReadUsesSurvivor(t *testing.T) {
 
 func TestRAID5SmallWriteIsTwoPhases(t *testing.T) {
 	devs, raw := fakes(4)
-	a, _ := New(Config{Level: RAID5, StripeUnit: 8}, devs)
+	a, _ := New(Config{Level: VolParity, StripeUnit: 8}, devs)
 	// One-strip write: read old data + old parity (1 ms, parallel), then
 	// write both (2 ms, parallel): 3 ms total.
 	svc := a.Access(&core.Request{Op: core.Write, LBN: 0, Blocks: 8}, 0)
@@ -243,22 +258,70 @@ func TestRAID5SmallWriteIsTwoPhases(t *testing.T) {
 	}
 }
 
-func TestRAID5DegradedWriteSkipsFailed(t *testing.T) {
-	devs, _ := fakes(4)
-	a, _ := New(Config{Level: RAID5, StripeUnit: 8}, devs)
-	dev, _, _ := a.mapBlock(0)
-	a.FailMember(dev)
-	// Must not panic; the surviving parity absorbs the write.
-	svc := a.Access(&core.Request{Op: core.Write, LBN: 0, Blocks: 8}, 0)
-	if svc <= 0 {
-		t.Errorf("degraded write = %g", svc)
+func TestRAID5DegradedWriteFoldsIntoParity(t *testing.T) {
+	// Row 0 of a four-member array: data on members 0-2, parity on 3.
+	logs := func(raw []*fakeDev) [][]core.Request {
+		out := make([][]core.Request, len(raw))
+		for i, d := range raw {
+			out[i] = d.log
+		}
+		return out
+	}
+	rd := core.Request{Op: core.Read, LBN: 0, Blocks: 8}
+	wr := core.Request{Op: core.Write, LBN: 0, Blocks: 8}
+
+	// Dead data member: read the row's surviving data members, then
+	// write the new parity.
+	devs, raw := fakes(4)
+	a, _ := New(Config{Level: VolParity, StripeUnit: 8}, devs)
+	a.FailMember(0)
+	if svc := a.Access(&wr, 0); svc != 3 {
+		t.Errorf("dead-data write = %g ms, want 3 (1 read + 2 write)", svc)
+	}
+	want := [][]core.Request{nil, {rd}, {rd}, {wr}}
+	if got := logs(raw); !reflect.DeepEqual(got, want) {
+		t.Errorf("dead-data write member ops = %v, want %v", got, want)
+	}
+
+	// Dead parity member: only the data member is written.
+	devs, raw = fakes(4)
+	a, _ = New(Config{Level: VolParity, StripeUnit: 8}, devs)
+	a.FailMember(3)
+	if svc := a.Access(&wr, 0); svc != 2 {
+		t.Errorf("dead-parity write = %g ms, want 2 (one write)", svc)
+	}
+	want = [][]core.Request{{wr}, nil, nil, nil}
+	if got := logs(raw); !reflect.DeepEqual(got, want) {
+		t.Errorf("dead-parity write member ops = %v, want %v", got, want)
+	}
+}
+
+func TestCapacityTopSectors(t *testing.T) {
+	// Each Atlas 10K member holds 16,962,852 sectors; only whole 8-sector
+	// strips count, so three data members give 3 × 16,962,848 sectors,
+	// and the last of them maps inside every member.
+	members := make([]core.Device, 4)
+	for i := range members {
+		members[i] = disk.MustDevice(disk.Atlas10K())
+	}
+	a, err := New(Config{Level: VolParity, StripeUnit: 8}, members)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.Capacity() != 50888544 {
+		t.Errorf("capacity = %d, want 50888544", a.Capacity())
+	}
+	for _, op := range []core.Op{core.Read, core.Write} {
+		if svc := a.Access(&core.Request{Op: op, LBN: a.Capacity() - 8, Blocks: 8}, 0); svc <= 0 {
+			t.Errorf("op %v on the last strip = %g ms", op, svc)
+		}
 	}
 }
 
 func TestRAID5DegradedReadReconstructs(t *testing.T) {
 	devs, raw := fakes(4)
-	a, _ := New(Config{Level: RAID5, StripeUnit: 8}, devs)
-	dev, _, _ := a.mapBlock(0)
+	a, _ := New(Config{Level: VolParity, StripeUnit: 8}, devs)
+	dev, _, _ := a.vol.mapBlock(0)
 	a.FailMember(dev)
 	a.Access(&core.Request{Op: core.Read, LBN: 0, Blocks: 8}, 0)
 	// Reconstruction reads the three survivors.
@@ -279,7 +342,7 @@ func TestRAID5DegradedReadReconstructs(t *testing.T) {
 
 func TestRAID0FailedMemberPanics(t *testing.T) {
 	devs, _ := fakes(3)
-	a, _ := New(Config{Level: RAID0, StripeUnit: 8}, devs)
+	a, _ := New(Config{Level: VolStripe, StripeUnit: 8}, devs)
 	a.FailMember(0)
 	defer func() {
 		if recover() == nil {
@@ -291,7 +354,7 @@ func TestRAID0FailedMemberPanics(t *testing.T) {
 
 func TestFailMemberPanics(t *testing.T) {
 	devs, _ := fakes(3)
-	a, _ := New(Config{Level: RAID5, StripeUnit: 8}, devs)
+	a, _ := New(Config{Level: VolParity, StripeUnit: 8}, devs)
 	for _, f := range []func(){
 		func() { a.FailMember(-1) },
 		func() { a.FailMember(3) },
@@ -311,7 +374,7 @@ func TestFailMemberPanics(t *testing.T) {
 
 func TestAccessPanicsOutOfRange(t *testing.T) {
 	devs, _ := fakes(3)
-	a, _ := New(Config{Level: RAID0, StripeUnit: 8}, devs)
+	a, _ := New(Config{Level: VolStripe, StripeUnit: 8}, devs)
 	for _, r := range []*core.Request{
 		{Op: core.Read, LBN: -1, Blocks: 1},
 		{Op: core.Read, LBN: 0, Blocks: 0},
@@ -351,7 +414,7 @@ func TestRAID5SmallWriteMEMSvsDisk(t *testing.T) {
 		for i := range members {
 			members[i] = dev()
 		}
-		a, err := New(Config{Level: RAID5, StripeUnit: 8}, members)
+		a, err := New(Config{Level: VolParity, StripeUnit: 8}, members)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -378,7 +441,7 @@ func TestRebuildTime(t *testing.T) {
 	for i := range members {
 		members[i] = smallMEMS(t)
 	}
-	a, err := New(Config{Level: RAID5, StripeUnit: 8}, members)
+	a, err := New(Config{Level: VolParity, StripeUnit: 8}, members)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -404,11 +467,11 @@ func TestRebuildTime(t *testing.T) {
 
 func TestEstimateAccessLowerBound(t *testing.T) {
 	devs, _ := fakes(4)
-	a, _ := New(Config{Level: RAID5, StripeUnit: 8}, devs)
+	a, _ := New(Config{Level: VolParity, StripeUnit: 8}, devs)
 	if est := a.EstimateAccess(&core.Request{Op: core.Read, LBN: 0, Blocks: 8}, 0); est != 1 {
 		t.Errorf("estimate = %g", est)
 	}
-	m, _ := New(Config{Level: RAID1}, devs[:2])
+	m, _ := New(Config{Level: VolMirror, StripeUnit: 8}, devs[:2])
 	if est := m.EstimateAccess(&core.Request{Op: core.Read, LBN: 0, Blocks: 8}, 0); est != 1 {
 		t.Errorf("mirror estimate = %g", est)
 	}
@@ -416,7 +479,7 @@ func TestEstimateAccessLowerBound(t *testing.T) {
 
 func TestArrayName(t *testing.T) {
 	devs, _ := fakes(3)
-	a, _ := New(Config{Level: RAID5, StripeUnit: 8}, devs)
+	a, _ := New(Config{Level: VolParity, StripeUnit: 8}, devs)
 	if a.Name() != "RAID-5×3(fake)" {
 		t.Errorf("name = %q", a.Name())
 	}

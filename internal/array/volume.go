@@ -1,12 +1,11 @@
-// volume.go implements device-level redundancy for the multi-queue
-// simulator (sim.RunVolume): mirrored and rotated-parity volume
-// geometries whose member translation is Router-compatible, plus the
-// failure / hot-spare / online-rebuild state machine the event loop
-// drives. Where Array (array.go) folds members into one core.Device
-// with max-over-members service times, a Volume keeps every member as
-// an independent queue: the simulator owns the clock and the queues,
-// and the Volume only answers "which member operations realize this
-// volume request under the current redundancy state?".
+// volume.go implements device-level redundancy: striped, mirrored and
+// rotated-parity volume geometries whose member translation is
+// Router-compatible, plus the failure / hot-spare / online-rebuild
+// state machine. A Volume owns no clock and no devices; it only answers
+// "which member operations realize this volume request under the
+// current redundancy state?". sim.RunVolume executes the answers on
+// independent member queues, and Array (array.go) executes them
+// synchronously as one core.Device.
 //
 // The model is single-fault: one failed member at a time is served in
 // degraded mode (mirror reads fall to the surviving replica; parity
@@ -22,7 +21,8 @@ import (
 	"memsim/internal/core"
 )
 
-// VolumeLevel selects the redundancy of a multi-queue volume.
+// VolumeLevel selects the redundancy of a volume, and of the Array
+// built on one.
 type VolumeLevel int
 
 const (
@@ -148,7 +148,8 @@ type Plan struct {
 }
 
 // Volume is the failover state machine over a volume geometry. It is
-// not safe for concurrent use; sim.RunVolume drives one per run.
+// not safe for concurrent use; sim.RunVolume drives one per run, and
+// each Array owns one.
 type Volume struct {
 	cfg VolumeConfig
 	// slots maps member slot → physical device index. Initially the

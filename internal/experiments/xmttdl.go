@@ -7,6 +7,7 @@ import (
 	"memsim/internal/array"
 	"memsim/internal/fault"
 	"memsim/internal/runner"
+	"memsim/internal/sim"
 )
 
 func init() { register("mttdl", mttdlPlan) }
@@ -140,7 +141,7 @@ func mttdlPlan(p Params) *Plan {
 					// assumed — one real failover run under foreground load at
 					// throttle 0.3 (the rebuild artifact's middle operating
 					// point). An interruption here has nothing worth saving.
-					w := rebuildRun(job, lv.cfg, dev.mk, dev.rate, 0.3, nil, p)
+					w := rebuildRun(job, lv.cfg, dev.mk, dev.rate, sim.FixedRebuild{Frac: 0.3}, p)
 					if cerr := job.Ctx().Err(); cerr != nil {
 						return cerr
 					}

@@ -100,7 +100,7 @@ func memsMembers(n int) ([]core.Device, array.Config) {
 	for i := range m {
 		m[i] = mems.MustDevice(mems.DefaultConfig())
 	}
-	return m, array.Config{Level: array.RAID5, StripeUnit: 8}
+	return m, array.Config{Level: array.VolParity, StripeUnit: 8}
 }
 
 func diskMembers(n int) ([]core.Device, array.Config) {
@@ -108,7 +108,7 @@ func diskMembers(n int) ([]core.Device, array.Config) {
 	for i := range m {
 		m[i] = disk.MustDevice(disk.Atlas10K())
 	}
-	return m, array.Config{Level: array.RAID5, StripeUnit: 8}
+	return m, array.Config{Level: array.VolParity, StripeUnit: 8}
 }
 
 func mustArray(members []core.Device, cfg array.Config) *array.Array {

@@ -113,7 +113,7 @@ func rebuildPlan(p Params) *Plan {
 				Seed:  p.Seed,
 			}
 			j.Custom = func(job *runner.Job) any {
-				out := rebuildRun(job, parityCfg, dev.mk, dev.rate, frac, nil, p)
+				out := rebuildRun(job, parityCfg, dev.mk, dev.rate, sim.FixedRebuild{Frac: frac}, p)
 				if err := job.Ctx().Err(); err != nil {
 					return err
 				}
@@ -133,7 +133,7 @@ func rebuildPlan(p Params) *Plan {
 				Seed:  p.Seed,
 			}
 			j.Custom = func(job *runner.Job) any {
-				out := rebuildRun(job, parityCfg, dev.mk, dev.rate, 0, sim.AdaptiveRebuild{}, p)
+				out := rebuildRun(job, parityCfg, dev.mk, dev.rate, sim.AdaptiveRebuild{}, p)
 				if err := job.Ctx().Err(); err != nil {
 					return err
 				}
@@ -153,7 +153,7 @@ func rebuildPlan(p Params) *Plan {
 				Seed:  p.Seed,
 			}
 			j.Custom = func(job *runner.Job) any {
-				out := rebuildRun(job, mirrorCfg, dev.mk, dev.rate, 0.3, nil, p)
+				out := rebuildRun(job, mirrorCfg, dev.mk, dev.rate, sim.FixedRebuild{Frac: 0.3}, p)
 				if err := job.Ctx().Err(); err != nil {
 					return err
 				}
@@ -212,11 +212,9 @@ func rebuildPlan(p Params) *Plan {
 }
 
 // rebuildRun drives one volume through a mid-run member failure and
-// online rebuild, and distills the failover metrics. A non-nil policy
-// paces the rebuild dynamically; nil selects the fixed-fraction
-// throttle frac.
+// online rebuild paced by policy, and distills the failover metrics.
 func rebuildRun(job *runner.Job, cfg array.VolumeConfig, mk core.DeviceFactory,
-	rate, frac float64, policy sim.RebuildPolicy, p Params) rebuildOutcome {
+	rate float64, policy sim.RebuildPolicy, p Params) rebuildOutcome {
 	v, err := array.NewVolume(cfg)
 	if err != nil {
 		panic(err)
@@ -256,7 +254,7 @@ func rebuildRun(job *runner.Job, cfg array.VolumeConfig, mk core.DeviceFactory,
 	})
 	res, err := sim.RunVolume(job.SimContext(), sim.VolumeSpec{
 		Volume: v, Devices: devs, Scheds: scheds,
-		RebuildChunk: int(cfg.StripeUnit), RebuildFrac: frac, RebuildPolicy: policy,
+		RebuildChunk: int(cfg.StripeUnit), RebuildPolicy: policy,
 	}, src, job.SimOptions(sim.Options{Warmup: p.Warmup, Injector: inj}))
 	if err != nil {
 		panic(err)

@@ -167,7 +167,7 @@ func schedDegradedRun(job *runner.Job, memberSched string, frac float64, p Param
 	})
 	res, err := sim.RunVolume(job.SimContext(), sim.VolumeSpec{
 		Volume: v, Devices: devs, Scheds: scheds,
-		RebuildChunk: int(cfg.StripeUnit), RebuildFrac: frac,
+		RebuildChunk: int(cfg.StripeUnit), RebuildPolicy: sim.FixedRebuild{Frac: frac},
 	}, src, job.SimOptions(sim.Options{Warmup: p.Warmup, Injector: inj}))
 	if err != nil {
 		panic(err)

@@ -328,6 +328,10 @@ func equivalenceScenarios(t *testing.T) []scenario {
 		if memberSched != "SPTF" {
 			name += "_" + memberSched
 		}
+		pace := policy
+		if pace == nil {
+			pace = sim.FixedRebuild{Frac: 0.5}
+		}
 		run := func(opts sim.Options) (sim.Result, error) {
 			cfg := array.VolumeConfig{
 				Level: level, Members: members, Spares: spares,
@@ -351,7 +355,7 @@ func equivalenceScenarios(t *testing.T) []scenario {
 			})
 			return sim.RunVolume(nil, sim.VolumeSpec{
 				Volume: v, Devices: devs, Scheds: scheds,
-				RebuildChunk: 2700, RebuildFrac: 0.5, RebuildPolicy: policy,
+				RebuildChunk: 2700, RebuildPolicy: pace,
 			}, src, opts)
 		}
 		scn := scenario{name: name, run: run}

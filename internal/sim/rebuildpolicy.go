@@ -52,9 +52,9 @@ func clampPace(p float64) float64 {
 	return p
 }
 
-// FixedRebuild is the default policy: a constant duty cycle, exactly
-// the historical VolumeSpec.RebuildFrac throttle (the golden
-// equivalence suite pins the byte-identity).
+// FixedRebuild is the default policy: a constant duty cycle. After each
+// chunk the rebuilder idles so rebuild I/O occupies roughly Frac of its
+// timeline; RunVolume rejects a Frac outside (0,1].
 type FixedRebuild struct {
 	// Frac is the constant duty cycle in (0,1].
 	Frac float64

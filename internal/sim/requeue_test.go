@@ -177,7 +177,7 @@ func TestRequeuePreferenceVolume(t *testing.T) {
 func TestVolumeClassAccounting(t *testing.T) {
 	spec := volFixtures(t, parityVolCfg(), 1)
 	spec.RebuildChunk = 8
-	spec.RebuildFrac = 0.1 // stretch the rebuild so reads hit the degraded window
+	spec.RebuildPolicy = FixedRebuild{Frac: 0.1} // stretch the rebuild so reads hit the degraded window
 	var classes [core.NumClasses]int
 	probe := probeFunc(func(ev ProbeEvent) {
 		if ev.Kind != EventDispatch {

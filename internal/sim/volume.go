@@ -19,8 +19,8 @@ import (
 )
 
 // DefaultRebuildChunk is the rebuild scan unit in sectors when
-// VolumeSpec.RebuildChunk is zero — one MEMS cylinder, matching the
-// offline estimate in array.RebuildTime.
+// VolumeSpec.RebuildChunk is zero — one MEMS cylinder, the scan unit
+// the raid artifact passes to array.Array.RebuildTime.
 const DefaultRebuildChunk = 2700
 
 // VolumeSpec describes a redundant volume run: the geometry/state
@@ -38,14 +38,8 @@ type VolumeSpec struct {
 	// RebuildChunk is the rebuild scan unit in sectors (0 selects
 	// DefaultRebuildChunk).
 	RebuildChunk int
-	// RebuildFrac throttles the rebuild in (0,1]: after each chunk the
-	// rebuilder idles so rebuild I/O occupies roughly this fraction of
-	// its timeline (1, or 0 for the default, rebuilds flat out).
-	RebuildFrac float64
-	// RebuildPolicy, when non-nil, paces the rebuild dynamically and
-	// supersedes RebuildFrac; nil selects FixedRebuild{Frac: RebuildFrac}
-	// — the historical constant throttle, byte-identical by the golden
-	// equivalence suite.
+	// RebuildPolicy paces the rebuild; nil selects FixedRebuild{Frac: 1},
+	// a flat-out rebuild.
 	RebuildPolicy RebuildPolicy
 }
 
@@ -197,16 +191,12 @@ func RunVolume(ctx *Context, spec VolumeSpec, src workload.Source, opts Options)
 	if chunk < 0 {
 		return Result{}, fmt.Errorf("sim: negative rebuild chunk %d", chunk)
 	}
-	frac := spec.RebuildFrac
-	if frac == 0 {
-		frac = 1
-	}
-	if frac < 0 || frac > 1 {
-		return Result{}, fmt.Errorf("sim: rebuild fraction %g out of (0,1]", spec.RebuildFrac)
-	}
 	policy := spec.RebuildPolicy
 	if policy == nil {
-		policy = FixedRebuild{Frac: frac}
+		policy = FixedRebuild{Frac: 1}
+	}
+	if f, ok := policy.(FixedRebuild); ok && !(f.Frac > 0 && f.Frac <= 1) {
+		return Result{}, fmt.Errorf("sim: rebuild fraction %g out of (0,1]", f.Frac)
 	}
 	policy.Reset()
 	if inj := opts.Injector; inj != nil {

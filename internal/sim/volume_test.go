@@ -78,7 +78,12 @@ func TestRunVolumeErrors(t *testing.T) {
 		}},
 		{"bad fraction", func() (Result, error) {
 			s := spec
-			s.RebuildFrac = 1.5
+			s.RebuildPolicy = FixedRebuild{Frac: 1.5}
+			return RunVolume(nil, s, src(), Options{})
+		}},
+		{"zero fraction", func() (Result, error) {
+			s := spec
+			s.RebuildPolicy = FixedRebuild{}
 			return RunVolume(nil, s, src(), Options{})
 		}},
 		{"negative chunk", func() (Result, error) {
@@ -174,7 +179,7 @@ func TestRunVolumeDeterministic(t *testing.T) {
 			SectorSize: devs[0].SectorSize(), Capacity: cfg.Capacity(), Count: 400, Seed: 7,
 		})
 		res, err := RunVolume(nil,
-			VolumeSpec{Volume: v, Devices: devs, Scheds: scheds, RebuildChunk: 2700, RebuildFrac: 0.5},
+			VolumeSpec{Volume: v, Devices: devs, Scheds: scheds, RebuildChunk: 2700, RebuildPolicy: FixedRebuild{Frac: 0.5}},
 			src, Options{Warmup: 50, Injector: devEvents(t, fault.DeviceEvent{AtMs: 200, Dev: 1})})
 		if err != nil {
 			t.Fatal(err)
@@ -604,7 +609,7 @@ func TestRunVolumeThrottleStretchesRebuild(t *testing.T) {
 	run := func(frac float64) Result {
 		spec := volFixtures(t, mirrorVolCfg(), 1)
 		spec.RebuildChunk = 8
-		spec.RebuildFrac = frac
+		spec.RebuildPolicy = FixedRebuild{Frac: frac}
 		src := workload.NewFromSlice(volReqs([]float64{0, 1, 2}, core.Read, []int64{0, 8, 16}))
 		res, err := RunVolume(nil, spec, src,
 			Options{Injector: devEvents(t, fault.DeviceEvent{AtMs: 4, Dev: 1})})

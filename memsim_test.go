@@ -134,7 +134,7 @@ func TestFacadeArrayAndCache(t *testing.T) {
 		}
 		members[i] = d
 	}
-	arr, err := NewDeviceArray(ArrayConfig{Level: RAID5, StripeUnit: 8}, members)
+	arr, err := NewDeviceArray(ArrayConfig{Level: VolumeParity, StripeUnit: 8}, members)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,7 +271,7 @@ func TestFacadeSimulateVolume(t *testing.T) {
 		t.Fatal(err)
 	}
 	src := NewRandomWorkload(500, 512, v.Capacity(), 400, 11)
-	res, err := SimulateVolume(VolumeSpec{Volume: v, Devices: devs, Scheds: scheds, RebuildFrac: 0.5},
+	res, err := SimulateVolume(VolumeSpec{Volume: v, Devices: devs, Scheds: scheds, RebuildPolicy: FixedRebuildPolicy{Frac: 0.5}},
 		src, SimOptions{Injector: inj})
 	if err != nil {
 		t.Fatal(err)

@@ -314,13 +314,18 @@ func equivalenceScenarios(t *testing.T) []scenario {
 	)
 
 	// ── Redundant volumes (fork-join + failover + rebuild) ──────────
-	volume := func(level array.VolumeLevel, members, spares int, fail bool, policy sim.RebuildPolicy, memberSched string) scenario {
+	// faults adds transient errors at a rate that requeues member ops
+	// and fails a few outright, on top of the device failure.
+	volume := func(level array.VolumeLevel, members, spares int, fail, faults bool, policy sim.RebuildPolicy, memberSched string) scenario {
 		name := "volume_mirror"
 		if level == array.VolParity {
 			name = "volume_parity"
 		}
 		if fail {
 			name += "_fail"
+		}
+		if faults {
+			name += "_faults"
 		}
 		if policy != nil {
 			name += "_" + policy.Name()
@@ -361,10 +366,18 @@ func equivalenceScenarios(t *testing.T) []scenario {
 		scn := scenario{name: name, run: run}
 		if fail {
 			scn.inj = func(t *testing.T) *fault.Injector {
-				inj, err := fault.NewInjector(fault.InjectorConfig{
+				cfg := fault.InjectorConfig{
 					Seed:         41,
 					DeviceEvents: []fault.DeviceEvent{{AtMs: 80, Dev: 1}},
-				})
+				}
+				if faults {
+					cfg = fault.DefaultInjectorConfig()
+					cfg.Seed = 41
+					cfg.DeviceEvents = []fault.DeviceEvent{{AtMs: 80, Dev: 1}}
+					cfg.TransientRate = 0.3
+					cfg.MaxRetries = 1
+				}
+				inj, err := fault.NewInjector(cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -374,16 +387,20 @@ func equivalenceScenarios(t *testing.T) []scenario {
 		return scn
 	}
 	scns = append(scns,
-		volume(array.VolMirror, 2, 1, false, nil, "SPTF"),
-		volume(array.VolMirror, 2, 1, true, nil, "SPTF"),
-		volume(array.VolParity, 3, 1, true, nil, "SPTF"),
+		volume(array.VolMirror, 2, 1, false, false, nil, "SPTF"),
+		volume(array.VolMirror, 2, 1, true, false, nil, "SPTF"),
+		volume(array.VolParity, 3, 1, true, false, nil, "SPTF"),
 		// Queue-aware pacing under the same failure: pins the adaptive
 		// policy's trajectory (pace changes shift chunk timing and the
 		// trace) without touching the fixed-policy goldens above.
-		volume(array.VolParity, 3, 1, true, sim.AdaptiveRebuild{}, "SPTF"),
+		volume(array.VolParity, 3, 1, true, false, sim.AdaptiveRebuild{}, "SPTF"),
 		// Class-aware member queues: degraded reads, foreground and
 		// rebuild chunks in separate bands.
-		volume(array.VolParity, 3, 1, true, sim.AdaptiveRebuild{}, "Priority"),
+		volume(array.VolParity, 3, 1, true, false, sim.AdaptiveRebuild{}, "Priority"),
+		// Requeued and failed member ops under FIFO member queues: the
+		// ops a member-request pool must not recycle while they are
+		// queued or in service.
+		volume(array.VolParity, 3, 1, true, true, nil, "FCFS"),
 	)
 	return scns
 }

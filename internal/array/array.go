@@ -36,6 +36,10 @@ type Config struct {
 type Array struct {
 	members []core.Device
 	vol     *Volume
+	// plan and op are Access's reusable buffers: the request's plan and
+	// the member request each operation is issued as.
+	plan Plan
+	op   core.Request
 }
 
 var _ core.Device = (*Array)(nil)
@@ -112,18 +116,18 @@ func (a *Array) Repair() { a.vol.Reset() }
 // Degraded reports whether a member is failed.
 func (a *Array) Degraded() bool { return a.vol.Degraded() }
 
-// plan realizes req under the current redundancy state, panicking when
-// the addressed data is lost.
-func (a *Array) plan(req *core.Request) Plan {
-	plan := a.vol.PlanRead
+// replan refills a.plan with req under the current redundancy state,
+// panicking when the addressed data is lost.
+func (a *Array) replan(req *core.Request) {
+	var ok bool
 	if req.Op == core.Write {
-		plan = a.vol.PlanWrite
+		ok = a.vol.PlanWrite(&a.plan, req.LBN, req.Blocks)
+	} else {
+		ok = a.vol.PlanRead(&a.plan, req.LBN, req.Blocks)
 	}
-	pl, ok := plan(req.LBN, req.Blocks)
 	if !ok {
 		panic("array: access to a failed member of an unprotected array loses data")
 	}
-	return pl
 }
 
 // phase issues every operation of ops at start through serve and
@@ -131,8 +135,8 @@ func (a *Array) plan(req *core.Request) Plan {
 func (a *Array) phase(ops []MemberOp, start float64, serve func(core.Device, *core.Request, float64) float64) float64 {
 	max := 0.0
 	for _, op := range ops {
-		r := core.Request{Op: op.Op, LBN: op.LBN, Blocks: op.Blocks}
-		if t := serve(a.members[a.vol.DeviceOf(op.Slot)], &r, start); t > max {
+		a.op = core.Request{Op: op.Op, LBN: op.LBN, Blocks: op.Blocks}
+		if t := serve(a.members[a.vol.DeviceOf(op.Slot)], &a.op, start); t > max {
 			max = t
 		}
 	}
@@ -142,13 +146,13 @@ func (a *Array) phase(ops []MemberOp, start float64, serve func(core.Device, *co
 // Access implements core.Device: the request's plan runs phase by
 // phase, each starting when the previous one's slowest operation ends.
 func (a *Array) Access(req *core.Request, now float64) float64 {
-	pl := a.plan(req)
-	if len(pl.Phases) == 1 {
-		return a.phase(pl.Phases[0], now, core.Device.Access)
+	a.replan(req)
+	if a.plan.NumPhases() == 1 {
+		return a.phase(a.plan.Phase(0), now, core.Device.Access)
 	}
 	end := now
-	for _, ops := range pl.Phases {
-		end += a.phase(ops, end, core.Device.Access)
+	for i := 0; i < a.plan.NumPhases(); i++ {
+		end += a.phase(a.plan.Phase(i), end, core.Device.Access)
 	}
 	return end - now
 }
@@ -159,7 +163,8 @@ func (a *Array) Access(req *core.Request, now float64) float64 {
 // not expose, so the array is meant for FCFS or LBN-based schedulers,
 // which never call it.
 func (a *Array) EstimateAccess(req *core.Request, now float64) float64 {
-	return a.phase(a.plan(req).Phases[0], now, core.Device.EstimateAccess)
+	a.replan(req)
+	return a.phase(a.plan.Phase(0), now, core.Device.EstimateAccess)
 }
 
 // RebuildTime estimates the time (ms) to reconstruct a failed member

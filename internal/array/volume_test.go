@@ -1,6 +1,7 @@
 package array
 
 import (
+	"reflect"
 	"testing"
 
 	"memsim/internal/core"
@@ -13,6 +14,18 @@ func mustVolume(t *testing.T, cfg VolumeConfig) *Volume {
 		t.Fatal(err)
 	}
 	return v
+}
+
+// planRead and planWrite plan into a fresh Plan, for tests that look
+// at one plan at a time.
+func planRead(v *Volume, lbn int64, blocks int) (*Plan, bool) {
+	pl := new(Plan)
+	return pl, v.PlanRead(pl, lbn, blocks)
+}
+
+func planWrite(v *Volume, lbn int64, blocks int) (*Plan, bool) {
+	pl := new(Plan)
+	return pl, v.PlanWrite(pl, lbn, blocks)
 }
 
 func parityCfg() VolumeConfig {
@@ -99,11 +112,11 @@ func TestMirrorReadSpread(t *testing.T) {
 	v := mustVolume(t, mirrorCfg())
 	slots := map[int]bool{}
 	for lbn := int64(0); lbn < 64; lbn += 8 {
-		pl, ok := v.PlanRead(lbn, 1)
-		if !ok || len(pl.Phases) != 1 || len(pl.Phases[0]) != 1 {
+		pl, ok := planRead(v, lbn, 1)
+		if !ok || pl.NumPhases() != 1 || len(pl.Phase(0)) != 1 {
 			t.Fatalf("healthy mirror read plan = %+v ok=%v", pl, ok)
 		}
-		slots[pl.Phases[0][0].Slot] = true
+		slots[pl.Phase(0)[0].Slot] = true
 	}
 	if len(slots) != 2 {
 		t.Errorf("healthy reads used %d replicas, want 2", len(slots))
@@ -112,9 +125,9 @@ func TestMirrorReadSpread(t *testing.T) {
 		t.Fatal(err)
 	}
 	for lbn := int64(0); lbn < 64; lbn += 8 {
-		pl, ok := v.PlanRead(lbn, 1)
-		if !ok || pl.Phases[0][0].Slot != 0 {
-			t.Fatalf("degraded mirror read went to slot %d", pl.Phases[0][0].Slot)
+		pl, ok := planRead(v, lbn, 1)
+		if !ok || pl.Phase(0)[0].Slot != 0 {
+			t.Fatalf("degraded mirror read went to slot %d", pl.Phase(0)[0].Slot)
 		}
 		if pl.Reconstructed {
 			t.Error("mirror survivor read marked reconstructed")
@@ -124,11 +137,11 @@ func TestMirrorReadSpread(t *testing.T) {
 
 func TestMirrorWritePlans(t *testing.T) {
 	v := mustVolume(t, mirrorCfg())
-	pl, ok := v.PlanWrite(3, 2)
-	if !ok || len(pl.Phases) != 1 || len(pl.Phases[0]) != 2 {
+	pl, ok := planWrite(v, 3, 2)
+	if !ok || pl.NumPhases() != 1 || len(pl.Phase(0)) != 2 {
 		t.Fatalf("healthy mirror write plan = %+v ok=%v", pl, ok)
 	}
-	for _, op := range pl.Phases[0] {
+	for _, op := range pl.Phase(0) {
 		if op.Op != core.Write || op.LBN != 3 || op.Blocks != 2 {
 			t.Errorf("bad replica op %+v", op)
 		}
@@ -136,8 +149,8 @@ func TestMirrorWritePlans(t *testing.T) {
 	if err := v.Fail(0); err != nil {
 		t.Fatal(err)
 	}
-	pl, ok = v.PlanWrite(3, 2)
-	if !ok || len(pl.Phases[0]) != 1 || pl.Phases[0][0].Slot != 1 || !pl.DegradedWrite {
+	pl, ok = planWrite(v, 3, 2)
+	if !ok || len(pl.Phase(0)) != 1 || pl.Phase(0)[0].Slot != 1 || !pl.DegradedWrite {
 		t.Fatalf("degraded mirror write plan = %+v ok=%v", pl, ok)
 	}
 	// Mid-rebuild, writes below the watermark also refresh the spare.
@@ -145,13 +158,13 @@ func TestMirrorWritePlans(t *testing.T) {
 		t.Fatal("no rebuild with a spare available")
 	}
 	v.Advance(16)
-	pl, _ = v.PlanWrite(3, 2)
-	if len(pl.Phases[0]) != 2 {
-		t.Errorf("covered write has %d ops, want 2 (survivor + spare)", len(pl.Phases[0]))
+	pl, _ = planWrite(v, 3, 2)
+	if len(pl.Phase(0)) != 2 {
+		t.Errorf("covered write has %d ops, want 2 (survivor + spare)", len(pl.Phase(0)))
 	}
-	pl, _ = v.PlanWrite(40, 2) // above the watermark
-	if len(pl.Phases[0]) != 1 {
-		t.Errorf("uncovered write has %d ops, want 1", len(pl.Phases[0]))
+	pl, _ = planWrite(v, 40, 2) // above the watermark
+	if len(pl.Phase(0)) != 1 {
+		t.Errorf("uncovered write has %d ops, want 1", len(pl.Phase(0)))
 	}
 }
 
@@ -160,21 +173,21 @@ func TestParityRMWAndDegradedPlans(t *testing.T) {
 	slot, mlbn, parity := v.mapBlock(0)
 
 	// Healthy small write: 2-phase read-modify-write on data + parity.
-	pl, ok := v.PlanWrite(0, 2)
-	if !ok || len(pl.Phases) != 2 || len(pl.Phases[0]) != 2 || len(pl.Phases[1]) != 2 {
+	pl, ok := planWrite(v, 0, 2)
+	if !ok || pl.NumPhases() != 2 || len(pl.Phase(0)) != 2 || len(pl.Phase(1)) != 2 {
 		t.Fatalf("healthy RMW plan = %+v", pl)
 	}
-	if pl.Phases[0][0].Op != core.Read || pl.Phases[1][0].Op != core.Write {
+	if pl.Phase(0)[0].Op != core.Read || pl.Phase(1)[0].Op != core.Write {
 		t.Error("RMW phases out of order")
 	}
-	if pl.Phases[0][0].Slot != slot || pl.Phases[0][1].Slot != parity {
+	if pl.Phase(0)[0].Slot != slot || pl.Phase(0)[1].Slot != parity {
 		t.Errorf("RMW targets slots %d,%d, want %d,%d",
-			pl.Phases[0][0].Slot, pl.Phases[0][1].Slot, slot, parity)
+			pl.Phase(0)[0].Slot, pl.Phase(0)[1].Slot, slot, parity)
 	}
 
 	// Healthy read: one op on the data slot.
-	rp, ok := v.PlanRead(0, 2)
-	if !ok || len(rp.Phases[0]) != 1 || rp.Phases[0][0].Slot != slot || rp.Phases[0][0].LBN != mlbn {
+	rp, ok := planRead(v, 0, 2)
+	if !ok || len(rp.Phase(0)) != 1 || rp.Phase(0)[0].Slot != slot || rp.Phase(0)[0].LBN != mlbn {
 		t.Fatalf("healthy read plan = %+v", rp)
 	}
 
@@ -182,11 +195,11 @@ func TestParityRMWAndDegradedPlans(t *testing.T) {
 	if err := v.Fail(slot); err != nil {
 		t.Fatal(err)
 	}
-	rp, ok = v.PlanRead(0, 2)
-	if !ok || !rp.Reconstructed || len(rp.Phases[0]) != 3 {
+	rp, ok = planRead(v, 0, 2)
+	if !ok || !rp.Reconstructed || len(rp.Phase(0)) != 3 {
 		t.Fatalf("degraded read plan = %+v ok=%v", rp, ok)
 	}
-	for _, op := range rp.Phases[0] {
+	for _, op := range rp.Phase(0) {
 		if op.Slot == slot {
 			t.Error("degraded read touched the failed slot")
 		}
@@ -194,13 +207,13 @@ func TestParityRMWAndDegradedPlans(t *testing.T) {
 
 	// Degraded write to the failed data slot: read the row's surviving
 	// data members (members-2 of them), then rewrite parity.
-	pl, ok = v.PlanWrite(0, 2)
-	if !ok || !pl.DegradedWrite || len(pl.Phases) != 2 {
+	pl, ok = planWrite(v, 0, 2)
+	if !ok || !pl.DegradedWrite || pl.NumPhases() != 2 {
 		t.Fatalf("degraded write plan = %+v ok=%v", pl, ok)
 	}
-	if len(pl.Phases[0]) != 2 || len(pl.Phases[1]) != 1 || pl.Phases[1][0].Slot != parity {
+	if len(pl.Phase(0)) != 2 || len(pl.Phase(1)) != 1 || pl.Phase(1)[0].Slot != parity {
 		t.Errorf("reconstruct-write shape = %d reads then %d writes to slot %d",
-			len(pl.Phases[0]), len(pl.Phases[1]), pl.Phases[1][0].Slot)
+			len(pl.Phase(0)), len(pl.Phase(1)), pl.Phase(1)[0].Slot)
 	}
 
 	// Rebuild past the chunk: covered ranges use the spare like a
@@ -209,8 +222,8 @@ func TestParityRMWAndDegradedPlans(t *testing.T) {
 		t.Fatal("no rebuild")
 	}
 	v.Advance(16)
-	rp, _ = v.PlanRead(0, 2)
-	if !rp.SpareRead || len(rp.Phases[0]) != 1 || rp.Phases[0][0].Slot != slot {
+	rp, _ = planRead(v, 0, 2)
+	if !rp.SpareRead || len(rp.Phase(0)) != 1 || rp.Phase(0)[0].Slot != slot {
 		t.Errorf("covered read plan = %+v", rp)
 	}
 	if dev := v.DeviceOf(slot); dev != 4 {
@@ -224,8 +237,8 @@ func TestParityWriteToFailedParitySlot(t *testing.T) {
 	if err := v.Fail(parity); err != nil {
 		t.Fatal(err)
 	}
-	pl, ok := v.PlanWrite(0, 2)
-	if !ok || len(pl.Phases) != 1 || len(pl.Phases[0]) != 1 || pl.Phases[0][0].Op != core.Write {
+	pl, ok := planWrite(v, 0, 2)
+	if !ok || pl.NumPhases() != 1 || len(pl.Phase(0)) != 1 || pl.Phase(0)[0].Op != core.Write {
 		t.Fatalf("parity-dead write plan = %+v", pl)
 	}
 	if !pl.DegradedWrite {
@@ -241,10 +254,10 @@ func TestStripeFailureLosesData(t *testing.T) {
 	if !v.Lost() {
 		t.Fatal("stripe member failure must lose data")
 	}
-	if _, ok := v.PlanRead(0, 4); ok {
+	if _, ok := planRead(v, 0, 4); ok {
 		t.Error("lost volume served a read")
 	}
-	if _, ok := v.PlanWrite(0, 4); ok {
+	if _, ok := planWrite(v, 0, 4); ok {
 		t.Error("lost volume accepted a write")
 	}
 }
@@ -263,7 +276,7 @@ func TestDoubleFailureLosesData(t *testing.T) {
 	if !v.Lost() {
 		t.Fatal("second concurrent failure must lose data")
 	}
-	if _, ok := v.PlanRead(0, 1); ok {
+	if _, ok := planRead(v, 0, 1); ok {
 		t.Error("lost volume served a read")
 	}
 }
@@ -284,15 +297,16 @@ func TestRebuildLifecycle(t *testing.T) {
 	}
 	total := 0
 	for !v.RebuildDone() {
-		pl, n := v.PlanRebuildChunk(24)
+		pl := new(Plan)
+		n := v.PlanRebuildChunk(pl, 24)
 		if n == 0 {
 			t.Fatal("rebuild stalled")
 		}
 		// Parity rebuild chunk: read the 3 surviving peers, write the spare.
-		if len(pl.Phases) != 2 || len(pl.Phases[0]) != 3 || len(pl.Phases[1]) != 1 {
+		if pl.NumPhases() != 2 || len(pl.Phase(0)) != 3 || len(pl.Phase(1)) != 1 {
 			t.Fatalf("chunk plan shape = %+v", pl)
 		}
-		w := pl.Phases[1][0]
+		w := pl.Phase(1)[0]
 		if w.Slot != 2 || w.Op != core.Write || w.LBN != int64(total) {
 			t.Fatalf("chunk write = %+v at watermark %d", w, total)
 		}
@@ -329,17 +343,17 @@ func TestReplaceDeadOp(t *testing.T) {
 
 	// Live-slot ops pass through untouched.
 	op := MemberOp{Slot: 0, Op: core.Read, LBN: 5, Blocks: 2}
-	repl, recon, ok := v.ReplaceDeadOp(op)
+	repl, recon, ok := v.ReplaceDeadOp(nil, op)
 	if !ok || recon || len(repl) != 1 || repl[0] != op {
 		t.Errorf("live op replaced: %+v", repl)
 	}
 
 	// Dead-slot writes are dropped; dead-slot reads become peer reads.
-	repl, _, ok = v.ReplaceDeadOp(MemberOp{Slot: 1, Op: core.Write, LBN: 5, Blocks: 2})
+	repl, _, ok = v.ReplaceDeadOp(nil, MemberOp{Slot: 1, Op: core.Write, LBN: 5, Blocks: 2})
 	if !ok || len(repl) != 0 {
 		t.Errorf("dead write: repl=%v ok=%v", repl, ok)
 	}
-	repl, recon, ok = v.ReplaceDeadOp(MemberOp{Slot: 1, Op: core.Read, LBN: 5, Blocks: 2})
+	repl, recon, ok = v.ReplaceDeadOp(nil, MemberOp{Slot: 1, Op: core.Read, LBN: 5, Blocks: 2})
 	if !ok || !recon || len(repl) != 3 {
 		t.Errorf("dead read: repl=%v recon=%v ok=%v", repl, recon, ok)
 	}
@@ -347,7 +361,7 @@ func TestReplaceDeadOp(t *testing.T) {
 	// Below the rebuild watermark the spare serves the original op.
 	v.BeginRebuild()
 	v.Advance(16)
-	repl, recon, ok = v.ReplaceDeadOp(MemberOp{Slot: 1, Op: core.Read, LBN: 5, Blocks: 2})
+	repl, recon, ok = v.ReplaceDeadOp(nil, MemberOp{Slot: 1, Op: core.Read, LBN: 5, Blocks: 2})
 	if !ok || recon || len(repl) != 1 || repl[0].Slot != 1 {
 		t.Errorf("covered dead read: repl=%v", repl)
 	}
@@ -356,10 +370,10 @@ func TestReplaceDeadOp(t *testing.T) {
 	if err := v.Fail(3); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, ok := v.ReplaceDeadOp(MemberOp{Slot: 0, Op: core.Read, LBN: 5, Blocks: 2}); ok {
+	if _, _, ok := v.ReplaceDeadOp(nil, MemberOp{Slot: 0, Op: core.Read, LBN: 5, Blocks: 2}); ok {
 		t.Error("read replaced on a lost volume")
 	}
-	if _, _, ok := v.ReplaceDeadOp(MemberOp{Slot: 0, Op: core.Write, LBN: 5, Blocks: 2}); !ok {
+	if _, _, ok := v.ReplaceDeadOp(nil, MemberOp{Slot: 0, Op: core.Write, LBN: 5, Blocks: 2}); !ok {
 		t.Error("write not droppable on a lost volume")
 	}
 }
@@ -385,5 +399,74 @@ func TestVolumeEpochAndReset(t *testing.T) {
 	}
 	if dev := v.DeviceOf(0); dev != 0 {
 		t.Errorf("reset slot mapping: %d", dev)
+	}
+}
+
+// TestPlanRefill checks that refilling a used Plan gives exactly the
+// plan a fresh one gets, in every redundancy state of a parity and a
+// mirror volume, and that Replan rewrites only the phases it is given.
+func TestPlanRefill(t *testing.T) {
+	same := func(a, b *Plan) bool {
+		if a.NumPhases() != b.NumPhases() || a.Reconstructed != b.Reconstructed ||
+			a.SpareRead != b.SpareRead || a.DegradedWrite != b.DegradedWrite {
+			return false
+		}
+		for i := 0; i < a.NumPhases(); i++ {
+			if !reflect.DeepEqual(a.Phase(i), b.Phase(i)) {
+				return false
+			}
+		}
+		return true
+	}
+	for _, cfg := range []VolumeConfig{parityCfg(), mirrorCfg()} {
+		v := mustVolume(t, cfg)
+		var reused Plan
+		check := func(state string) {
+			for lbn := int64(0); lbn+20 <= v.Capacity(); lbn += 7 {
+				for _, blocks := range []int{1, 5, 20} {
+					fresh, ok := planWrite(v, lbn, blocks)
+					if got := v.PlanWrite(&reused, lbn, blocks); got != ok || !same(&reused, fresh) {
+						t.Fatalf("%v %s: write [%d,+%d) refilled %+v, fresh %+v", cfg.Level, state, lbn, blocks, reused, *fresh)
+					}
+					fresh, ok = planRead(v, lbn, blocks)
+					if got := v.PlanRead(&reused, lbn, blocks); got != ok || !same(&reused, fresh) {
+						t.Fatalf("%v %s: read [%d,+%d) refilled %+v, fresh %+v", cfg.Level, state, lbn, blocks, reused, *fresh)
+					}
+				}
+			}
+		}
+		check("healthy")
+		if err := v.Fail(1); err != nil {
+			t.Fatal(err)
+		}
+		check("degraded")
+		v.BeginRebuild()
+		v.Advance(24)
+		check("rebuilding")
+
+		if cfg.Level != VolParity {
+			continue
+		}
+		// A two-chunk write planned healthy, re-resolved from its third
+		// phase after a failure: the first two phases stay as planned.
+		v.Reset()
+		pl, _ := planWrite(v, 6, 4)
+		before := append([]MemberOp(nil), pl.Phase(0)...)
+		if err := v.Fail(pl.Phase(2)[0].Slot); err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := v.Replan(pl, 2); !ok {
+			t.Fatalf("%v: replan refused on a single failure", cfg.Level)
+		}
+		if !reflect.DeepEqual(pl.Phase(0), before) {
+			t.Errorf("%v: replan touched phase 0: %+v, was %+v", cfg.Level, pl.Phase(0), before)
+		}
+		for i := 2; i < pl.NumPhases(); i++ {
+			for _, op := range pl.Phase(i) {
+				if op.Slot == v.Failed() {
+					t.Errorf("%v: replanned phase %d still addresses failed slot: %+v", cfg.Level, i, op)
+				}
+			}
+		}
 	}
 }

@@ -45,6 +45,12 @@ type Request struct {
 	// for class-aware scheduling and per-class accounting. The zero value
 	// is ClassForeground, so untagged requests behave exactly as before.
 	Class Class
+	// Parent belongs to the simulator, which sets it only on the member
+	// operations a redundant volume run forks from a volume request: it
+	// indexes that request in the run's own table. Devices and
+	// schedulers ignore it. It fills Class's padding, so a Request is no
+	// larger for it.
+	Parent int32
 
 	// Start is the time service began (set by the simulator).
 	Start float64

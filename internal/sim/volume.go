@@ -106,12 +106,19 @@ func (v *VolumeStats) useSketch() {
 
 // volReq tracks one in-flight volume-level intent — a foreground
 // request or a background rebuild chunk — through its fork-join phases
-// of member operations.
+// of member operations. Intents are pooled for the run (volPool), each
+// keeping its plan buffers and, for rebuild chunks, its own request.
 type volReq struct {
-	r      *core.Request
-	phases [][]array.MemberOp
-	// phase indexes the executing entry of phases; outstanding counts
-	// its member ops still in flight.
+	r *core.Request
+	// own is the request a rebuild chunk tracks itself by; foreground
+	// intents use the source's.
+	own core.Request
+	// id indexes the intent in volPool.all; its member requests carry
+	// it as core.Request.Parent.
+	id   int
+	plan array.Plan
+	// phase indexes the executing phase of plan; outstanding counts its
+	// member ops still in flight.
 	phase       int
 	outstanding int
 	// epoch is the volume redundancy generation the plan was made
@@ -131,6 +138,44 @@ type volReq struct {
 	degradedRead  bool
 	degradedWrite bool
 	spareRead     bool
+}
+
+// reset readies a pooled intent for request r planned under epoch,
+// keeping its id and its plan's buffers.
+func (vr *volReq) reset(r *core.Request, epoch int) {
+	*vr = volReq{id: vr.id, plan: vr.plan, r: r, epoch: epoch}
+}
+
+// volPool is runVolume's run-long free lists: volume intents and the
+// member requests forked from them. A member request is recycled once
+// its last visit completes, and an intent once it finishes, so a run
+// allocates only while its in-flight peak grows.
+type volPool struct {
+	all     []*volReq // every intent of the run, by id
+	free    []*volReq
+	members []*core.Request
+}
+
+// intent returns an idle intent, growing the table when none is free.
+func (p *volPool) intent() *volReq {
+	if n := len(p.free); n > 0 {
+		vr := p.free[n-1]
+		p.free = p.free[:n-1]
+		return vr
+	}
+	vr := &volReq{id: len(p.all)}
+	p.all = append(p.all, vr)
+	return vr
+}
+
+// member returns an idle member request.
+func (p *volPool) member() *core.Request {
+	if n := len(p.members); n > 0 {
+		mr := p.members[n-1]
+		p.members = p.members[:n-1]
+		return mr
+	}
+	return new(core.Request)
 }
 
 // volInflight is one member's in-flight service-completion state,
@@ -228,10 +273,9 @@ func (e *engine) runVolume(v *array.Volume, ms *memberSet, src workload.Source, 
 	if e.opts.Sketch {
 		vstats.useSketch()
 	}
-	// opmap resolves a queued member request back to its volume intent;
-	// entries are deleted at dispatch (requeued ops re-register), and
-	// the map is never iterated, so determinism is preserved.
-	opmap := make(map[*core.Request]*volReq)
+	var pool volPool
+	// repl is drainDead's buffer for one op's replacements.
+	var repl []array.MemberOp
 	// degradedSince and failStart track the open degraded window and
 	// the active failure for MTTR accounting; -1 when closed.
 	degradedSince := -1.0
@@ -272,9 +316,9 @@ func (e *engine) runVolume(v *array.Volume, ms *memberSet, src workload.Source, 
 
 	enqueue := func(vr *volReq, op array.MemberOp, now float64) {
 		dev := v.DeviceOf(op.Slot)
-		mr := &core.Request{Arrival: vr.r.Arrival, Op: op.Op, LBN: op.LBN, Blocks: op.Blocks,
-			Class: memberClass(vr)}
-		opmap[mr] = vr
+		mr := pool.member()
+		*mr = core.Request{Arrival: vr.r.Arrival, Op: op.Op, LBN: op.LBN, Blocks: op.Blocks,
+			Class: memberClass(vr), Parent: int32(vr.id)}
 		ms.scheds[dev].Add(mr)
 		if e.p != nil {
 			e.p.Observe(ProbeEvent{Kind: EventArrive, Time: now, Dev: dev, Req: mr,
@@ -288,19 +332,12 @@ func (e *engine) runVolume(v *array.Volume, ms *memberSet, src workload.Source, 
 	// it may mark the parent request failed when its data is gone.
 	remap := func(vr *volReq) {
 		vr.epoch = v.Epoch()
-		for pi := vr.phase; pi < len(vr.phases); pi++ {
-			var resolved []array.MemberOp
-			for _, op := range vr.phases[pi] {
-				repl, recon, ok := v.ReplaceDeadOp(op)
-				if !ok {
-					vr.r.Failed = true
-				}
-				if recon && !vr.rebuild && vr.r.Op == core.Read {
-					vr.degradedRead = true
-				}
-				resolved = append(resolved, repl...)
-			}
-			vr.phases[pi] = resolved
+		recon, ok := v.Replan(&vr.plan, vr.phase)
+		if !ok {
+			vr.r.Failed = true
+		}
+		if recon && !vr.rebuild && vr.r.Op == core.Read {
+			vr.degradedRead = true
 		}
 	}
 
@@ -401,12 +438,14 @@ func (e *engine) runVolume(v *array.Volume, ms *memberSet, src workload.Source, 
 		e.q.Schedule(now+gap, startChunkFn)
 	}
 
+	// finish retires an intent whose every member op has completed.
 	finish := func(vr *volReq, now float64) {
 		if vr.rebuild {
 			chunkDone(vr, now)
-			return
+		} else {
+			finishReq(vr, now)
 		}
-		finishReq(vr, now)
+		pool.free = append(pool.free, vr)
 	}
 
 	// issue advances a volume intent to its next non-empty phase and
@@ -416,11 +455,11 @@ func (e *engine) runVolume(v *array.Volume, ms *memberSet, src workload.Source, 
 			if vr.epoch != v.Epoch() {
 				remap(vr)
 			}
-			if vr.r.Failed || vr.phase >= len(vr.phases) {
+			if vr.r.Failed || vr.phase >= vr.plan.NumPhases() {
 				finish(vr, now)
 				return
 			}
-			ops := vr.phases[vr.phase]
+			ops := vr.plan.Phase(vr.phase)
 			if len(ops) == 0 {
 				vr.phase++
 				continue
@@ -453,8 +492,7 @@ func (e *engine) runVolume(v *array.Volume, ms *memberSet, src workload.Source, 
 			return
 		}
 		ms.busy[i] = true
-		vr := opmap[mr]
-		delete(opmap, mr)
+		vr := pool.all[mr.Parent]
 		if !vr.started {
 			vr.started = true
 			vr.r.Start = now
@@ -495,7 +533,6 @@ func (e *engine) runVolume(v *array.Volume, ms *memberSet, src workload.Source, 
 				// The visit exhausted its retries with requeue budget
 				// left: the member op goes back to its own queue and the
 				// fork-join leg stays outstanding.
-				opmap[mr] = vr
 				requeue(ms.scheds[i], mr)
 				if e.p != nil {
 					e.p.Observe(ProbeEvent{Kind: EventRequeue, Time: fl.done, Dev: i, Req: mr,
@@ -507,6 +544,7 @@ func (e *engine) runVolume(v *array.Volume, ms *memberSet, src workload.Source, 
 					// lost sectors): its parent volume request fails.
 					vr.r.Failed = true
 				}
+				pool.members = append(pool.members, mr)
 				opDone(vr, e.q.Now())
 			}
 			dispatch(i)
@@ -517,18 +555,15 @@ func (e *engine) runVolume(v *array.Volume, ms *memberSet, src workload.Source, 
 		if e.stopped || v.Lost() || !v.Rebuilding() {
 			return
 		}
-		plan, blocks := v.PlanRebuildChunk(chunk)
+		vr := pool.intent()
+		vr.reset(&vr.own, v.Epoch())
+		blocks := v.PlanRebuildChunk(&vr.plan, chunk)
 		if blocks == 0 {
+			pool.free = append(pool.free, vr)
 			return
 		}
-		vr := &volReq{
-			r:           &core.Request{Arrival: now, Op: core.Read, LBN: -1, Blocks: blocks, Class: core.ClassRebuild},
-			phases:      plan.Phases,
-			epoch:       v.Epoch(),
-			rebuild:     true,
-			chunkBlocks: blocks,
-			chunkStart:  now,
-		}
+		vr.own = core.Request{Arrival: now, Op: core.Read, LBN: -1, Blocks: blocks, Class: core.ClassRebuild}
+		vr.rebuild, vr.chunkBlocks, vr.chunkStart = true, blocks, now
 		issue(vr, now)
 	}
 	startChunkFn = func() { startChunk(e.q.Now()) }
@@ -545,10 +580,11 @@ func (e *engine) runVolume(v *array.Volume, ms *memberSet, src workload.Source, 
 			if mr == nil {
 				return
 			}
-			vr := opmap[mr]
-			delete(opmap, mr)
-			repl, recon, ok := v.ReplaceDeadOp(array.MemberOp{
+			vr := pool.all[mr.Parent]
+			var recon, ok bool
+			repl, recon, ok = v.ReplaceDeadOp(repl[:0], array.MemberOp{
 				Slot: slot, Op: mr.Op, LBN: mr.LBN, Blocks: mr.Blocks})
+			pool.members = append(pool.members, mr)
 			if !ok {
 				vr.r.Failed = true
 			}
@@ -609,30 +645,26 @@ func (e *engine) runVolume(v *array.Volume, ms *memberSet, src workload.Source, 
 	// redundancy state and fork its first phase.
 	e.chainArrivals(src, func(r *core.Request) {
 		now := e.q.Now()
-		var (
-			plan array.Plan
-			ok   bool
-		)
+		vr := pool.intent()
+		vr.reset(r, v.Epoch())
+		var ok bool
 		if r.Op == core.Read {
-			plan, ok = v.PlanRead(r.LBN, r.Blocks)
+			ok = v.PlanRead(&vr.plan, r.LBN, r.Blocks)
 		} else {
-			plan, ok = v.PlanWrite(r.LBN, r.Blocks)
+			ok = v.PlanWrite(&vr.plan, r.LBN, r.Blocks)
 		}
-		vr := &volReq{r: r, epoch: v.Epoch()}
-		if !ok {
+		switch {
+		case !ok:
 			// The addressed data is lost: fail without touching a device
 			// rather than silently serving stale sectors.
 			r.Failed = true
 			r.Start = now
 			vr.started = true
-		} else {
-			vr.phases = plan.Phases
-			if r.Op == core.Read {
-				vr.degradedRead = plan.Reconstructed
-				vr.spareRead = plan.SpareRead
-			} else {
-				vr.degradedWrite = plan.DegradedWrite
-			}
+		case r.Op == core.Read:
+			vr.degradedRead = vr.plan.Reconstructed
+			vr.spareRead = vr.plan.SpareRead
+		default:
+			vr.degradedWrite = vr.plan.DegradedWrite
 		}
 		issue(vr, now)
 	})

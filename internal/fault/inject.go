@@ -165,7 +165,12 @@ func (c InjectorConfig) Validate() error {
 type Injector struct {
 	cfg    InjectorConfig
 	events []TipEvent // sorted by AtMs, stable w.r.t. declaration order
+	// rng is the random stream, seeded lazily: Reset only clears
+	// seeded, and the first draw after it (re)seeds rng. Seeding costs
+	// far more than building the rest of a run, and a run without
+	// transient errors never draws.
 	rng    *rand.Rand
+	seeded bool
 	arr    *Array
 	next   int // first unfired event
 	// hasDegraded caches whether any stripe currently serves in degraded
@@ -207,7 +212,7 @@ func NewInjector(cfg InjectorConfig) (*Injector, error) {
 // Reset restores the initial state: a fresh random stream, a pristine tip
 // array, and no fired events.
 func (in *Injector) Reset() {
-	in.rng = rand.New(rand.NewSource(in.cfg.Seed))
+	in.seeded = false
 	in.next = 0
 	in.hasDegraded = false
 	in.hasLoss = false
@@ -259,12 +264,22 @@ func (in *Injector) TransientError() bool {
 	if in.cfg.TransientRate == 0 {
 		return false
 	}
-	return in.rng.Float64() < in.cfg.TransientRate
+	return in.Draw() < in.cfg.TransientRate
 }
 
 // Draw returns a uniform value in [0,1) from the injector's stream,
 // shaping where in the recovery envelope a retry lands.
-func (in *Injector) Draw() float64 { return in.rng.Float64() }
+func (in *Injector) Draw() float64 {
+	if !in.seeded {
+		if in.rng == nil {
+			in.rng = rand.New(rand.NewSource(in.cfg.Seed))
+		} else {
+			in.rng.Seed(in.cfg.Seed)
+		}
+		in.seeded = true
+	}
+	return in.rng.Float64()
+}
 
 // MaxRetries returns the device-level inline retry budget per visit.
 func (in *Injector) MaxRetries() int { return in.cfg.MaxRetries }

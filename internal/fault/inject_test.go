@@ -1,6 +1,7 @@
 package fault
 
 import (
+	"math/rand"
 	"testing"
 )
 
@@ -56,6 +57,44 @@ func TestInjectorZeroRateDrawsNothing(t *testing.T) {
 	fresh, _ := NewInjector(InjectorConfig{Seed: 42})
 	if in.Draw() != fresh.Draw() {
 		t.Error("zero-rate TransientError consumed random draws")
+	}
+}
+
+// TestInjectorSeedsLazily checks that the stream after every Reset is
+// exactly a freshly seeded source's, however many draws came before,
+// and that a zero-rate injector never seeds at all.
+func TestInjectorSeedsLazily(t *testing.T) {
+	in, err := NewInjector(InjectorConfig{Seed: 42, TransientRate: 0.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if in.rng != nil {
+		t.Fatal("NewInjector seeded its stream before any draw")
+	}
+	for round := 0; round < 3; round++ {
+		in.Reset()
+		ref := rand.New(rand.NewSource(42))
+		for i := 0; i < 1000; i++ {
+			if i%2 == 0 {
+				if got, want := in.Draw(), ref.Float64(); got != want {
+					t.Fatalf("round %d draw %d: %v, fresh source gives %v", round, i, got, want)
+				}
+			} else if got, want := in.TransientError(), ref.Float64() < 0.5; got != want {
+				t.Fatalf("round %d draw %d: transient error %v, fresh source gives %v", round, i, got, want)
+			}
+		}
+	}
+
+	zero, err := NewInjector(InjectorConfig{Seed: 42})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 100; i++ {
+		zero.Reset()
+		zero.TransientError()
+	}
+	if zero.rng != nil || zero.seeded {
+		t.Error("a zero-rate injector seeded its stream")
 	}
 }
 

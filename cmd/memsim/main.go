@@ -1,14 +1,13 @@
-// memsim runs a single storage simulation from flags and prints the
-// resulting metrics — a workbench for exploring the device models beyond
-// the paper's fixed experiments.
+// memsim runs a single storage simulation of the random workload from
+// flags and prints the resulting metrics — a workbench for exploring the
+// device models beyond the paper's fixed experiments. Trace replay lives
+// in memstrace (-gen, -replay).
 //
 // Usage examples:
 //
 //	memsim -device mems -sched SPTF -rate 1500 -requests 20000
 //	memsim -device disk -sched C-LOOK -rate 100
 //	memsim -device mems -settle 0 -sched SSTF_LBN -rate 2000
-//	memsim -device mems -trace cello -scale 16
-//	memsim -device mems -tracefile mytrace.txt
 package main
 
 import (
@@ -22,7 +21,6 @@ import (
 	"memsim/internal/mems"
 	"memsim/internal/sched"
 	"memsim/internal/sim"
-	"memsim/internal/trace"
 	"memsim/internal/workload"
 )
 
@@ -35,9 +33,6 @@ func main() {
 		warmup    = flag.Int("warmup", 1000, "completions excluded from statistics")
 		settle    = flag.Float64("settle", 1, "MEMS settling time constants")
 		seed      = flag.Int64("seed", 1, "workload seed")
-		traceKind = flag.String("trace", "", "replay a synthetic trace instead: cello | tpcc")
-		traceFile = flag.String("tracefile", "", "replay a trace file (text format)")
-		scale     = flag.Float64("scale", 1, "trace scale factor (arrival-rate multiplier)")
 		progress  = flag.Bool("progress", false, "report completions to stderr while the run is in flight")
 	)
 	flag.Parse()
@@ -67,33 +62,7 @@ func main() {
 		fatal(err)
 	}
 
-	var src workload.Source
-	switch {
-	case *traceFile != "":
-		f, err := os.Open(*traceFile)
-		if err != nil {
-			fatal(err)
-		}
-		tr, err := trace.Read(f, *traceFile)
-		f.Close()
-		if err != nil {
-			fatal(err)
-		}
-		if err := tr.Validate(dev.Capacity()); err != nil {
-			fatal(err)
-		}
-		src = traceSource(tr.Scale(*scale).Clip(*requests))
-	case *traceKind == "cello":
-		tr := trace.GenerateCello(trace.DefaultCello(dev.Capacity(), *requests))
-		src = traceSource(tr.Scale(*scale))
-	case *traceKind == "tpcc":
-		tr := trace.GenerateTPCC(trace.DefaultTPCC(dev.Capacity(), *requests))
-		src = traceSource(tr.Scale(*scale))
-	case *traceKind != "":
-		fatal(fmt.Errorf("unknown trace %q (want cello or tpcc)", *traceKind))
-	default:
-		src = workload.DefaultRandom(*rate, dev.SectorSize(), dev.Capacity(), *requests, *seed)
-	}
+	src := workload.DefaultRandom(*rate, dev.SectorSize(), dev.Capacity(), *requests, *seed)
 
 	var ctx *sim.Context
 	if *progress {
@@ -117,14 +86,6 @@ func main() {
 	fmt.Printf("max response     %.3f ms\n", res.Response.Max())
 	fmt.Printf("mean service     %.3f ms\n", res.Service.Mean())
 	fmt.Printf("mean queue len   %.2f (max %d)\n", res.QueueLen.Mean(), res.MaxQueue)
-}
-
-func traceSource(t *trace.Trace) workload.Source {
-	reqs := make([]*core.Request, t.Len())
-	for i, rec := range t.Records {
-		reqs[i] = rec.Request()
-	}
-	return workload.NewFromSlice(reqs)
 }
 
 func fatal(err error) {

@@ -249,9 +249,9 @@ func NewCostScheduler(name string, cost CostModel) Scheduler {
 	return sched.NewCostSPTF(name, cost)
 }
 
-// ─── Redundant volumes and failover (device-level §6.2, dynamic) ────────
+// ─── Multi-device volumes and failover (device-level §6.2, dynamic) ─────
 
-// VolumeLevel selects a redundant volume's geometry.
+// VolumeLevel selects a volume's geometry.
 type VolumeLevel = array.VolumeLevel
 
 // The supported volume levels.
@@ -291,10 +291,13 @@ type VolumeStats = sim.VolumeStats
 // MemberStats attributes a multi-device run's work to one member slot.
 type MemberStats = sim.MemberResult
 
-// SimulateVolume drives an open workload over a redundant volume,
-// surviving scheduled device failures via degraded-mode service,
-// hot-spare failover and throttled online rebuild. Failover metrics
-// land in SimResult.Volume.
+// SimulateVolume drives an open workload over a multi-device volume,
+// each member with its own scheduler queue. A VolumeStripe volume
+// stripes the members like the paper's TPC-C testbed; a stripe unit
+// equal to PerMember concatenates them. Redundant levels survive
+// scheduled device failures via degraded-mode service, hot-spare
+// failover and throttled online rebuild. Failover metrics land in
+// SimResult.Volume.
 func SimulateVolume(spec VolumeSpec, src WorkloadSource, opts SimOptions) (SimResult, error) {
 	return sim.RunVolume(nil, spec, src, opts)
 }

@@ -1,7 +1,6 @@
-// volume.go implements device-level redundancy: striped, mirrored and
-// rotated-parity volume geometries whose member translation is
-// Router-compatible, plus the failure / hot-spare / online-rebuild
-// state machine. A Volume owns no clock and no devices; it only answers
+// volume.go implements multi-device volumes: striped, mirrored and
+// rotated-parity geometries, plus the failure / hot-spare /
+// online-rebuild state machine. A Volume owns no clock and no devices; it only answers
 // "which member operations realize this volume request under the
 // current redundancy state?". sim.RunVolume executes the answers on
 // independent member queues, and Array (array.go) executes them

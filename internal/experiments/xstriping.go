@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"memsim/internal/array"
 	"memsim/internal/core"
 	"memsim/internal/mems"
 	"memsim/internal/runner"
@@ -15,7 +16,7 @@ func init() { register("striping", stripingPlan) }
 
 // StripingStudy (extension): the paper's TPC-C testbed striped its
 // database across two drives — the standard way to scale a volume's
-// throughput. The event-driven multi-queue simulator drives the random
+// throughput. The event-driven volume executor drives the random
 // workload over striped MEMS volumes of 1, 2 and 4 sleds under SPTF;
 // each member runs its own queue, so the volume's saturation rate scales
 // with member count.
@@ -33,11 +34,11 @@ func stripingPlan(p Params) *Plan {
 				Label: fmt.Sprintf("striping %d sleds rate=%g", n, rate),
 				Seed:  p.Seed,
 				Custom: func(job *runner.Job) any {
-					out := stripedResponse(job, n, rate, p)
+					mean := stripedResponse(job, n, rate, p)
 					if err := job.Ctx().Err(); err != nil {
 						return err
 					}
-					return out
+					return mean
 				},
 			}
 			grid[ri][ni] = j
@@ -52,43 +53,26 @@ func stripingPlan(p Params) *Plan {
 				Title:   "striped MEMS volume: mean response (ms) vs. arrival rate",
 				Columns: []string{"rate(req/s)", "1 sled", "2 sleds", "4 sleds"},
 			}
-			c := Table{
-				ID:      "striping-clamps",
-				Title:   "requests clamped to a strip boundary by the stripe router, same runs",
-				Columns: []string{"rate(req/s)", "1 sled", "2 sleds", "4 sleds"},
-			}
 			for ri, rate := range rates {
 				row := []string{f2(rate)}
-				crow := []string{f2(rate)}
 				for ni := range counts {
-					o := grid[ri][ni].Value().(stripedOutcome)
-					if o.mean < 0 {
+					if mean := grid[ri][ni].Value().(float64); mean < 0 {
 						row = append(row, "—")
 					} else {
-						row = append(row, ms(o.mean))
+						row = append(row, ms(mean))
 					}
-					crow = append(crow, fmt.Sprintf("%d", o.clamped))
 				}
 				t.AddRow(row...)
-				c.AddRow(crow...)
 			}
-			return []Table{t, c}
+			return []Table{t}
 		},
 	}
 }
 
-// stripedOutcome is one striping run's summary, returned by the job's
-// Custom body.
-type stripedOutcome struct {
-	mean    float64 // mean response (ms), or −1 when hopelessly saturated
-	clamped int     // requests the stripe router clamped to a strip boundary
-}
-
-// stripedResponse simulates an n-sled volume at the given rate and
-// returns the mean response time — or −1 when the configuration is
-// hopelessly saturated (mean response above 1 s) — together with the
-// router's clamp count.
-func stripedResponse(job *runner.Job, n int, rate float64, p Params) stripedOutcome {
+// stripedResponse simulates an n-sled stripe volume at the given rate
+// and returns the mean response time, or −1 when the configuration is
+// hopelessly saturated (mean response above 1 s).
+func stripedResponse(job *runner.Job, n int, rate float64, p Params) float64 {
 	devs := make([]core.Device, n)
 	scheds := make([]core.Scheduler, n)
 	for i := range devs {
@@ -96,9 +80,14 @@ func stripedResponse(job *runner.Job, n int, rate float64, p Params) stripedOutc
 		scheds[i] = sched.NewSPTF()
 	}
 	per := devs[0].Capacity()
-	// Volume-level requests stay within one member strip: the stripe
-	// unit is one cylinder, and the generator caps request size below it.
-	unit := int64(2700)
+	// The stripe unit is one cylinder; a request that crosses a strip
+	// boundary is split into member operations and served in full.
+	v, err := array.NewVolume(array.VolumeConfig{Level: array.VolStripe, Members: n,
+		StripeUnit: 2700, PerMember: per})
+	if err != nil {
+		// Recovered by the runner into a per-job error.
+		panic(err)
+	}
 	cfg := workload.RandomConfig{
 		Rate:         rate,
 		ReadFraction: 0.67,
@@ -109,16 +98,14 @@ func stripedResponse(job *runner.Job, n int, rate float64, p Params) stripedOutc
 		Count:        p.Requests,
 		Seed:         p.Seed,
 	}
-	src := workload.NewRandom(cfg)
-	res, err := sim.RunMulti(job.SimContext(), devs, scheds, sim.StripeRouter(unit, n), src,
-		job.SimOptions(sim.Options{Warmup: p.Warmup}))
+	res, err := sim.RunVolume(job.SimContext(), sim.VolumeSpec{Volume: v, Devices: devs, Scheds: scheds},
+		workload.NewRandom(cfg), job.SimOptions(sim.Options{Warmup: p.Warmup}))
 	if err != nil {
-		// Recovered by the runner into a per-job error.
 		panic(err)
 	}
-	out := stripedOutcome{mean: res.Response.Mean(), clamped: res.ClampedRequests}
-	if out.mean > 1000 {
-		out.mean = -1
+	mean := res.Response.Mean()
+	if mean > 1000 {
+		return -1
 	}
-	return out
+	return mean
 }

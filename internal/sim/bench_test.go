@@ -128,10 +128,8 @@ func BenchmarkEngineMillion(b *testing.B) {
 			}
 			perDev := devs[0].Capacity()
 			src := workload.DefaultRandom(1100, 512, perDev*members, n, 1)
-			if _, err := RunMulti(nil, devs, scheds, ConcatRouter(perDev), src,
-				Options{Warmup: n / 100, Probe: NewPhaseCollector(), Sketch: true}); err != nil {
-				b.Fatal(err)
-			}
+			mustStripe(b, nil, devs, scheds, perDev, perDev, src,
+				Options{Warmup: n / 100, Probe: NewPhaseCollector(), Sketch: true})
 		}
 	})
 }

@@ -61,15 +61,13 @@ func TestContextProgressReportsSimTime(t *testing.T) {
 }
 
 func TestRunMultiProgress(t *testing.T) {
-	// RunMulti reports completions through the same hook as the
-	// single-device loops.
+	// A multi-device volume reports completions through the same hook
+	// as the single-device loops.
 	devs, scheds := multiFixtures(2, 1)
 	var at []int
 	ctx := &Context{ProgressEvery: 4, OnProgress: func(n int, _ float64) { at = append(at, n) }}
 	src := workload.NewFromSlice(mkReqs(make([]float64, 10)))
-	if _, err := RunMulti(ctx, devs, scheds, ConcatRouter(1<<29), src, Options{}); err != nil {
-		t.Fatal(err)
-	}
+	mustStripe(t, ctx, devs, scheds, 1<<29, 1<<29, src, Options{})
 	if len(at) != 2 || at[0] != 4 || at[1] != 8 {
 		t.Errorf("progress fired at %v, want [4 8]", at)
 	}
@@ -80,10 +78,7 @@ func TestRunMultiIdlePeriods(t *testing.T) {
 	// empty queues, and elapsed time tracks the last completion.
 	devs, scheds := multiFixtures(1, 2)
 	src := workload.NewFromSlice(mkReqs([]float64{0, 100, 200}))
-	res, err := RunMulti(nil, devs, scheds, ConcatRouter(1<<29), src, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := mustStripe(t, nil, devs, scheds, 1<<29, 1<<29, src, Options{})
 	if res.Requests != 3 {
 		t.Fatalf("requests = %d", res.Requests)
 	}
@@ -100,10 +95,8 @@ func TestRunMultiOnComplete(t *testing.T) {
 	devs, scheds := multiFixtures(2, 1)
 	src := workload.NewFromSlice(mkReqs(make([]float64, 12)))
 	seen := 0
-	if _, err := RunMulti(nil, devs, scheds, ConcatRouter(1<<29), src,
-		Options{Warmup: 5, OnComplete: func(*core.Request) { seen++ }}); err != nil {
-		t.Fatal(err)
-	}
+	mustStripe(t, nil, devs, scheds, 1<<29, 1<<29, src,
+		Options{Warmup: 5, OnComplete: func(*core.Request) { seen++ }})
 	if seen != 12 {
 		t.Errorf("OnComplete fired %d times, want 12", seen)
 	}

@@ -1,21 +1,21 @@
 // engine.go is the single discrete-event core behind every simulation
-// entry point. The four public regimes — Run (open arrivals), RunClosed
-// (back-to-back with optional think time), RunMulti (routed member set),
-// RunVolume (redundant fork-join volume) — are thin adapters that wire
-// three plug points into one engine:
+// entry point. The three public regimes — Run (open arrivals), RunClosed
+// (back-to-back with optional think time), RunVolume (fork-join volume
+// of member devices: striped, mirrored or parity) — are thin adapters
+// that wire three plug points into one engine:
 //
 //   - an arrival process: a lazy open-arrival pump (runOpen), a closed
 //     issue chain with per-request think-time draws (runClosed), or an
-//     eager arrival chain (chainArrivals, used by multi and volume);
+//     eager arrival chain (chainArrivals, used by the volume);
 //   - a service target: a single device+scheduler, or a memberSet of
-//     per-device queues addressed by a Router or an array.Volume plan;
+//     per-device queues addressed by an array.Volume plan;
 //   - a shared completion path (complete): warmup gating, failed-request
 //     exclusion, probe emission, progress, MaxRequests stop.
 //
 // Every service visit in every regime flows through serveVisit, so
 // fault injection — transient retries, requeues, lost-sector reads, ECC
 // surcharges — behaves identically whether the request is served by a
-// lone device, a striped member, or a volume fork-join leg.
+// lone device or a volume member.
 //
 // Determinism contract: the engine schedules at most one pending
 // arrival per source (chained), one completion per busy device, and
@@ -74,7 +74,7 @@ func newEngine(ctx *Context, opts Options) *engine {
 }
 
 // loop dispatches events until the queue drains or a regime stops the
-// run (MaxRequests, router error). With a cancellable Context the loop
+// run (MaxRequests). With a cancellable Context the loop
 // additionally polls the cancellation channel every CancelEvery events;
 // the common uncancellable case keeps the bare dispatch loop.
 func (e *engine) loop() {
@@ -148,7 +148,7 @@ func (e *engine) finalize() {
 // the visit's phase breakdown (zero unless a probe is attached), and
 // whether the request must go back to its scheduler for another visit.
 //
-// r is the request the device serves (a member op under multi/volume);
+// r is the request the device serves (a member op under RunVolume);
 // sink is the request whose Phases accumulate the breakdown (the
 // volume-level parent under RunVolume, r itself elsewhere); dev tags
 // probe events with the member index (0 for single-device regimes).
@@ -237,7 +237,7 @@ func (e *engine) serveVisit(d core.Device, r, sink *core.Request, dev int, now f
 // complete is the shared completion path: every top-level request in
 // every regime finishes here. It advances the completion count, fires
 // progress and the EventComplete probe, invokes OnComplete, optionally
-// tallies the fault outcome (tally — single and multi regimes with an
+// tallies the fault outcome (tally — single-device regimes with an
 // injector; RunVolume keeps its own richer tallies), and folds the
 // request into the measured statistics when it is past warmup and not
 // failed. qlen < 0 skips the queue-length statistics (closed regime).
@@ -278,8 +278,8 @@ func (e *engine) complete(now float64, r *core.Request, dev, qlen int, resp, svc
 // chainArrivals schedules src's stream as a linked chain of arrival
 // events: each event delivers one request and then schedules the next,
 // so simultaneous arrivals retain stream order and the heap holds at
-// most one pending arrival. Eager regimes (multi, volume) use this;
-// the open single-device regime ingests lazily in runOpen instead.
+// most one pending arrival. The volume regime uses this; the open
+// single-device regime ingests lazily in runOpen instead.
 //
 // The chain carries its state in a run-long struct with a single stored
 // fire func: because at most one arrival event is ever pending, each
@@ -488,10 +488,9 @@ func (c *closedRun) finish() {
 	}
 }
 
-// ─── Member sets (RunMulti, RunVolume) ─────────────────────────────────
+// ─── Member sets (RunVolume) ───────────────────────────────────────────
 
-// memberSet is the multi-queue service target shared by the routed
-// (RunMulti) and redundant-volume (RunVolume) regimes: one scheduler
+// memberSet is RunVolume's multi-queue service target: one scheduler
 // queue per member device, per-member busy latches, and per-member
 // result attribution.
 type memberSet struct {

@@ -87,7 +87,6 @@ func fingerprint(res sim.Result, runErr error, trace []byte) string {
 		res.Retries, res.Recovered, res.FailedRequests, res.DegradedReads, res.Requeues)
 	fmt.Fprintf(&b, "recoveryms: %s\n", g(res.RecoveryMs))
 	fmt.Fprintf(&b, "lostreads: %d dataloss: %v\n", res.LostReads, res.DataLoss)
-	fmt.Fprintf(&b, "clamped: %d\n", res.ClampedRequests)
 	dumpPhases(&b, "phases", res.Phases)
 	fmt.Fprintf(&b, "members: %d\n", len(res.Members))
 	for i, m := range res.Members {
@@ -268,8 +267,9 @@ func equivalenceScenarios(t *testing.T) []scenario {
 		})
 	}
 
-	// ── Multi-device routed volumes ─────────────────────────────────
-	multi := func(devName string, n int, schedName string, route func(per int64) sim.Router, spill bool) func(opts sim.Options) (sim.Result, error) {
+	// ── Multi-device stripe volumes ─────────────────────────────────
+	// unit 0 concatenates the members (a stripe unit of a whole member).
+	multi := func(devName string, n int, schedName string, unit int64, spill bool) func(opts sim.Options) (sim.Result, error) {
 		return func(opts sim.Options) (sim.Result, error) {
 			devs := make([]core.Device, n)
 			scheds := make([]core.Scheduler, n)
@@ -288,8 +288,8 @@ func equivalenceScenarios(t *testing.T) []scenario {
 			}
 			meanBytes := 4096.0
 			if spill {
-				// Large requests that regularly spill a strip boundary,
-				// exercising the router clamp path (and its counter).
+				// Large requests that regularly straddle a strip
+				// boundary, exercising the fork-join split.
 				meanBytes = 512 * 1024
 				rate /= 64
 			}
@@ -298,19 +298,24 @@ func equivalenceScenarios(t *testing.T) []scenario {
 				SectorSize: devs[0].SectorSize(), Capacity: per * int64(n),
 				Count: requests, Seed: seed,
 			}
-			return sim.RunMulti(nil, devs, scheds, route(per), workload.NewRandom(cfg), opts)
+			if unit == 0 {
+				unit = per
+			}
+			v, err := array.NewVolume(array.VolumeConfig{Level: array.VolStripe, Members: n,
+				StripeUnit: unit, PerMember: per})
+			if err != nil {
+				return sim.Result{}, err
+			}
+			return sim.RunVolume(nil, sim.VolumeSpec{Volume: v, Devices: devs, Scheds: scheds},
+				workload.NewRandom(cfg), opts)
 		}
 	}
 	scns = append(scns,
-		scenario{name: "multi_mems_stripe_SPTF", run: multi("mems", 2, "SPTF",
-			func(int64) sim.Router { return sim.StripeRouter(2700, 2) }, false)},
-		scenario{name: "multi_mems_stripe_SPTF_spill", run: multi("mems", 2, "SPTF",
-			func(int64) sim.Router { return sim.StripeRouter(2700, 2) }, true)},
-		scenario{name: "multi_disk_concat_FCFS", run: multi("disk", 2, "FCFS",
-			func(per int64) sim.Router { return sim.ConcatRouter(per) }, false)},
+		scenario{name: "multi_mems_stripe_SPTF", run: multi("mems", 2, "SPTF", 2700, false)},
+		scenario{name: "multi_mems_stripe_SPTF_spill", run: multi("mems", 2, "SPTF", 2700, true)},
+		scenario{name: "multi_disk_concat_FCFS", run: multi("disk", 2, "FCFS", 0, false)},
 		// The bounded percentile backend, run-level and per member.
-		scenario{name: "multi_mems_stripe_SPTF_sketch", sketch: true, run: multi("mems", 2, "SPTF",
-			func(int64) sim.Router { return sim.StripeRouter(2700, 2) }, false)},
+		scenario{name: "multi_mems_stripe_SPTF_sketch", sketch: true, run: multi("mems", 2, "SPTF", 2700, false)},
 	)
 
 	// ── Redundant volumes (fork-join + failover + rebuild) ──────────

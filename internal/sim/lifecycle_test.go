@@ -103,7 +103,7 @@ func TestCheckedRunMatchesUnchecked(t *testing.T) {
 	mk := func(check bool) Result {
 		devs, scheds := multiFixtures(2, 1)
 		src := workload.NewFromSlice(mkReqs([]float64{0, 1, 2, 3, 4, 5}))
-		return mustMulti(t, nil, devs, scheds, ConcatRouter(1<<29), src,
+		return mustStripe(t, nil, devs, scheds, 1<<29, 1<<29, src,
 			Options{Injector: alwaysFail(t), Check: check})
 	}
 	plain := mk(false)
@@ -156,7 +156,7 @@ func TestCheckCleanOverRealRegimes(t *testing.T) {
 		devs, scheds := multiFixtures(2, 1)
 		cfg := fault.InjectorConfig{TransientRate: 0.3, MaxRetries: 2, MaxRequeues: 1, Seed: 7}
 		src := workload.NewFromSlice(mkReqs(make([]float64, 40)))
-		mustMulti(t, nil, devs, scheds, StripeRouter(8, 2), src,
+		mustStripe(t, nil, devs, scheds, 8, 8, src,
 			Options{Check: true, Injector: mustInjector(t, cfg)})
 	})
 	t.Run("volume-rebuild", func(t *testing.T) {

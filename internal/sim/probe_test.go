@@ -59,11 +59,7 @@ func TestNilProbeByteIdentical(t *testing.T) {
 	multi := func(p Probe) Result {
 		devs, scheds := multiFixtures(2, 1.5)
 		src := workload.NewFromSlice(mkReqs(make([]float64, 200)))
-		res, err := RunMulti(nil, devs, scheds, ConcatRouter(1<<29), src, Options{Warmup: 20, Probe: p})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
+		return mustStripe(t, nil, devs, scheds, 1<<29, 1<<29, src, Options{Warmup: 20, Probe: p})
 	}
 	if plain, probed := multi(nil), multi(&recordingProbe{}); !reflect.DeepEqual(plain, probed) {
 		t.Errorf("probed multi run diverged:\n  plain:  %+v\n  probed: %+v", plain, probed)
@@ -257,10 +253,7 @@ func TestPhaseCollectorInClosedAndMultiRuns(t *testing.T) {
 	per := devs[0].Capacity()
 	gen := workload.DefaultRandom(1500, 512, 2*per, 1000, 43)
 	pc2 := NewPhaseCollector()
-	mres, err := RunMulti(nil, devs, scheds, ConcatRouter(per), gen, Options{Warmup: 50, Probe: pc2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	mres := mustStripe(t, nil, devs, scheds, per, per, gen, Options{Warmup: 50, Probe: pc2})
 	if mres.Phases == nil || mres.Phases.Requests != mres.Requests {
 		t.Fatalf("multi run phases = %+v, requests %d", mres.Phases, mres.Requests)
 	}
@@ -335,11 +328,8 @@ func TestRunMultiProbeEvents(t *testing.T) {
 	for i, r := range reqs {
 		r.LBN = int64(i%2) * 100
 	}
-	res, err := RunMulti(nil, devs, scheds, ConcatRouter(100), workload.NewFromSlice(reqs),
+	res := mustStripe(t, nil, devs, scheds, 100, 100, workload.NewFromSlice(reqs),
 		Options{Warmup: 10, Probe: rp})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if rp.count(EventArrive) != 40 || rp.count(EventDispatch) != 40 ||
 		rp.count(EventService) != 40 || rp.count(EventComplete) != 40 {
 		t.Errorf("event counts: arrive=%d dispatch=%d service=%d complete=%d, want 40 each",

@@ -19,7 +19,7 @@ import (
 )
 
 // Context carries run-scoped observability through the simulation entry
-// points (Run, RunClosed, RunMulti). It separates *how a run is watched*
+// points (Run, RunClosed, RunVolume). It separates *how a run is watched*
 // from Options, which describe *what is simulated*: the parallel
 // experiment runner and the interactive CLIs thread a Context through
 // without touching the experiment declarations. A nil *Context is valid
@@ -89,16 +89,17 @@ type Options struct {
 	// (including warmup ones).
 	OnComplete func(*core.Request)
 	// Injector, when non-nil, drives deterministic fault injection through
-	// the run (Run and RunClosed): transient positioning errors recovered
-	// by bounded device-level retry at the §6.1.3 penalty, scheduled tip
-	// failures evolving the redundancy array mid-run, and
-	// ECC-reconstruction surcharges on degraded-stripe reads. The injector
-	// is Reset alongside the device and scheduler. A zero-rate, event-free
-	// injector reproduces the no-injector run byte for byte.
+	// the run (Run, RunClosed, and RunVolume's member visits): transient
+	// positioning errors recovered by bounded device-level retry at the
+	// §6.1.3 penalty, scheduled tip failures evolving the redundancy
+	// array mid-run, and ECC-reconstruction surcharges on degraded-stripe
+	// reads. The injector is Reset alongside the device and scheduler. A
+	// zero-rate, event-free injector reproduces the no-injector run byte
+	// for byte.
 	Injector *fault.Injector
 	// Probe, when non-nil, observes typed request-lifecycle events
 	// (arrive, dispatch, per-phase service, retry/requeue, complete)
-	// through Run, RunClosed and RunMulti. A nil Probe is zero-cost and
+	// through Run, RunClosed and RunVolume. A nil Probe is zero-cost and
 	// byte-identical to an unprobed run. Probes with run-scoped state
 	// (PhaseCollector) are reset alongside the device and scheduler.
 	Probe Probe
@@ -184,20 +185,12 @@ type Result struct {
 	// redundant volume suffered a second concurrent member failure.
 	DataLoss bool
 
-	// ClampedRequests counts volume-level requests whose block count a
-	// router had to clamp at a member or strip boundary (RunMulti):
-	// ConcatRouter and StripeRouter stay total by shrinking a spilling
-	// request to the boundary, and this counter makes that truncation
-	// visible instead of silent. Zero for single-device and RunVolume
-	// runs (the volume planner splits rather than clamps).
-	ClampedRequests int
-
 	// Phases holds the per-phase service aggregates when the run's Probe
 	// contained a PhaseCollector; nil otherwise.
 	Phases *PhaseStats
 
-	// Members holds per-member-device aggregates for multi-queue runs
-	// (RunMulti, RunVolume); nil for single-device runs.
+	// Members holds per-member-device aggregates for RunVolume runs;
+	// nil for single-device runs.
 	Members []MemberResult
 	// Volume holds redundancy/failover aggregates for RunVolume runs;
 	// nil otherwise.
@@ -207,17 +200,16 @@ type Result struct {
 // MemberResult aggregates one member device's share of a multi-queue
 // run.
 type MemberResult struct {
-	// Requests counts the member-level operations the device served
-	// (whole volume requests for RunMulti; member ops — including
-	// rebuild traffic — for RunVolume). The entire run is covered,
-	// warmup included.
+	// Requests counts the device's service visits: one per member
+	// operation (rebuild traffic included) plus one per requeue. The
+	// entire run is covered, warmup included.
 	Requests int
 	// Busy is the device's total busy time in ms.
 	Busy float64
 	// Phases holds the member's per-phase service aggregates when the
-	// run's Probe contained a PhaseCollector; nil otherwise. RunMulti
-	// folds one observation per measured completed request; RunVolume
-	// folds one per service visit (rebuild visits included).
+	// run's Probe contained a PhaseCollector; nil otherwise. It folds
+	// one observation per service visit, warmup and rebuild visits
+	// included.
 	Phases *PhaseStats
 }
 
@@ -293,10 +285,9 @@ func RunClosed(ctx *Context, d core.Device, src workload.Source, opts Options) R
 
 // ─── Generic event queue ───────────────────────────────────────────────
 //
-// EventQueue is the substrate under engine.go's discrete-event core (and
-// other simulations in this repository, such as the power-management
-// policies): a minimal deterministic time-ordered event list with stable
-// FIFO ordering for simultaneous events.
+// EventQueue is the substrate under engine.go's discrete-event core: a
+// minimal deterministic time-ordered event list with stable FIFO
+// ordering for simultaneous events.
 
 // Event is a timestamped callback.
 type Event struct {
@@ -384,15 +375,4 @@ func (q *EventQueue) Step() bool {
 	q.now = top.Time
 	top.Fn()
 	return true
-}
-
-// RunUntil dispatches events until the queue is empty or the next event
-// is after t.
-func (q *EventQueue) RunUntil(t float64) {
-	for len(q.h) > 0 && q.h[0].Time <= t {
-		q.Step()
-	}
-	if q.now < t {
-		q.now = t
-	}
 }

@@ -239,29 +239,13 @@ func TestEventQueueCascade(t *testing.T) {
 		}
 	}
 	q.Schedule(0, tick)
-	q.RunUntil(100)
+	for q.Step() {
+	}
 	if count != 5 {
 		t.Errorf("cascade count = %d, want 5", count)
 	}
-	if q.Now() != 100 {
-		t.Errorf("RunUntil should advance now to 100, got %g", q.Now())
-	}
-}
-
-func TestEventQueueRunUntilStopsEarly(t *testing.T) {
-	var q EventQueue
-	ran := false
-	q.Schedule(10, func() { ran = true })
-	q.RunUntil(5)
-	if ran {
-		t.Error("event at t=10 ran during RunUntil(5)")
-	}
-	if q.Len() != 1 {
-		t.Errorf("pending = %d", q.Len())
-	}
-	q.RunUntil(15)
-	if !ran {
-		t.Error("event never ran")
+	if q.Now() != 4 {
+		t.Errorf("now = %g after the cascade, want 4", q.Now())
 	}
 }
 

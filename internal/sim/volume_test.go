@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"math"
 	"reflect"
 	"testing"
 
@@ -195,71 +194,50 @@ func TestRunVolumeDeterministic(t *testing.T) {
 	}
 }
 
-func TestRunVolumeStripeMatchesRunMulti(t *testing.T) {
-	// A no-redundancy stripe volume is the same queueing system as
-	// RunMulti with a StripeRouter: single-strip requests must produce
-	// identical statistics.
-	const unit, n = 8, 3
-	mk := func() ([]core.Device, []core.Scheduler) {
-		devs := make([]core.Device, n)
-		scheds := make([]core.Scheduler, n)
-		for i := range devs {
-			devs[i] = mems.MustDevice(mems.DefaultConfig())
-			scheds[i] = sched.NewFCFS()
-		}
-		return devs, scheds
+func TestRunVolumeStripeSplitsStraddlingRequest(t *testing.T) {
+	// A request that crosses a strip (or member) boundary is split into
+	// member operations and served in full: the ops' blocks sum to the
+	// request's, and each lands on the member that holds its part.
+	type piece struct {
+		dev    int
+		lbn    int64
+		blocks int
 	}
-	reqs := func() []*core.Request {
-		var out []*core.Request
-		for i := 0; i < 300; i++ {
-			op := core.Read
-			if i%3 == 0 {
-				op = core.Write
-			}
-			out = append(out, &core.Request{
-				Arrival: float64(i) * 2,
-				Op:      op,
-				LBN:     int64(i*37) % (unit * n * 100),
-				Blocks:  1,
+	cases := []struct {
+		name      string
+		unit, per int64
+		lbn       int64
+		want      []piece
+	}{
+		{"strip", 8, 64, 6, []piece{{0, 6, 2}, {1, 0, 6}}},
+		{"concat", 100, 100, 98, []piece{{0, 98, 2}, {1, 0, 6}}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			devs, scheds := multiFixtures(2, 1)
+			var got []piece
+			probe := probeFunc(func(ev ProbeEvent) {
+				if ev.Kind == EventService {
+					got = append(got, piece{ev.Dev, ev.Req.LBN, ev.Req.Blocks})
+				}
 			})
-		}
-		return out
-	}
-
-	devs, scheds := mk()
-	multi, err := RunMulti(nil, devs, scheds, StripeRouter(unit, n),
-		workload.NewFromSlice(reqs()), Options{Warmup: 30})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	cfg := array.VolumeConfig{Level: array.VolStripe, Members: n, StripeUnit: unit,
-		PerMember: unit * 100}
-	v, err := array.NewVolume(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	vdevs, vscheds := mk()
-	vol, err := RunVolume(nil, VolumeSpec{Volume: v, Devices: vdevs, Scheds: vscheds},
-		workload.NewFromSlice(reqs()), Options{Warmup: 30})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if vol.Requests != multi.Requests {
-		t.Fatalf("request counts differ: %d vs %d", vol.Requests, multi.Requests)
-	}
-	if math.Abs(vol.Response.Mean()-multi.Response.Mean()) > 1e-9 {
-		t.Errorf("response mean %.9f vs %.9f", vol.Response.Mean(), multi.Response.Mean())
-	}
-	if math.Abs(vol.Busy-multi.Busy) > 1e-9 {
-		t.Errorf("busy %.9f vs %.9f", vol.Busy, multi.Busy)
-	}
-	for i := range vol.Members {
-		if vol.Members[i].Requests != multi.Members[i].Requests {
-			t.Errorf("member %d requests %d vs %d", i,
-				vol.Members[i].Requests, multi.Members[i].Requests)
-		}
+			src := workload.NewFromSlice([]*core.Request{{Op: core.Read, LBN: tc.lbn, Blocks: 8}})
+			res := mustStripe(t, nil, devs, scheds, tc.unit, tc.per, src, Options{Probe: probe})
+			if res.Requests != 1 || res.Response.Mean() != 1 {
+				t.Errorf("requests = %d, response = %g; want 1 served in parallel in 1 ms",
+					res.Requests, res.Response.Mean())
+			}
+			if !reflect.DeepEqual(got, tc.want) {
+				t.Errorf("member ops = %+v, want %+v", got, tc.want)
+			}
+			blocks := 0
+			for _, p := range got {
+				blocks += p.blocks
+			}
+			if blocks != 8 {
+				t.Errorf("member ops cover %d blocks, want 8", blocks)
+			}
+		})
 	}
 }
 

@@ -189,26 +189,6 @@ func SimulateClosed(d Device, src WorkloadSource, opts SimOptions) SimResult {
 	return sim.RunClosed(nil, d, src, opts)
 }
 
-// Router directs a volume-level request to a member device.
-type Router = sim.Router
-
-// SimulateMulti drives an open workload over several devices, each with
-// its own scheduler queue (event-driven) — multi-device volumes like the
-// paper's striped TPC-C testbed. Configuration errors (mismatched
-// device/scheduler counts, an out-of-range router index) are returned
-// rather than panicking.
-func SimulateMulti(devs []Device, scheds []Scheduler, route Router,
-	src WorkloadSource, opts SimOptions) (SimResult, error) {
-	return sim.RunMulti(nil, devs, scheds, route, src, opts)
-}
-
-// ConcatRouter routes by address concatenation (device i holds LBNs
-// [i·perDev, (i+1)·perDev)).
-func ConcatRouter(perDev int64) Router { return sim.ConcatRouter(perDev) }
-
-// StripeRouter routes unit-sized strips round-robin across n devices.
-func StripeRouter(unit int64, n int) Router { return sim.StripeRouter(unit, n) }
-
 // ─── Lifecycle observation ──────────────────────────────────────────────
 
 // Breakdown decomposes one service visit into the paper's mechanical

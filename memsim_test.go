@@ -193,17 +193,23 @@ func TestFacadeSimulateMulti(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// A stripe volume whose unit is a whole member concatenates the
+	// two devices.
 	per := devs[0].Capacity()
+	v, err := NewVolume(VolumeConfig{Level: VolumeStripe, Members: 2, StripeUnit: per, PerMember: per})
+	if err != nil {
+		t.Fatal(err)
+	}
 	src := NewRandomWorkload(1000, 512, 2*per, 800, 6)
-	res, err := SimulateMulti(devs, scheds, ConcatRouter(per), src, SimOptions{})
+	res, err := SimulateVolume(VolumeSpec{Volume: v, Devices: devs, Scheds: scheds}, src, SimOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Requests != 800 {
 		t.Fatalf("completed %d", res.Requests)
 	}
-	if StripeRouter(8, 2) == nil {
-		t.Fatal("nil router")
+	if len(res.Members) != 2 || res.Members[0].Requests == 0 || res.Members[1].Requests == 0 {
+		t.Errorf("members = %+v, want both serving", res.Members)
 	}
 }
 
